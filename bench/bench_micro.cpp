@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: geo math, alias
-// sampling, the d^alpha table, venue extraction, power-law fitting, and
-// full Gibbs sweeps. After the benchmark suite, main() runs the
+// sampling, the d^alpha table, venue extraction, power-law fitting, full
+// Gibbs sweeps, and the serve-section render (one double, one 5k-user
+// ReadModel::Build). After the benchmark suite, main() runs the
 // observability overhead guard: instrumented (obs enabled) vs.
 // short-circuited (obs disabled) sweeps must agree within 2% — the
 // src/obs/ overhead budget, enforced here so a regression fails the bench
@@ -10,8 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/model.h"
@@ -26,6 +30,7 @@
 #include "io/model_snapshot.h"
 #include "obs/trace.h"
 #include "serve/http_server.h"
+#include "serve/json.h"
 #include "serve/model_server.h"
 #include "serve/read_model.h"
 #include "stats/alias_table.h"
@@ -172,6 +177,66 @@ void BM_GibbsSweep(benchmark::State& state) {
                            world.graph->num_tweeting()));
 }
 BENCHMARK(BM_GibbsSweep)->Unit(benchmark::kMillisecond);
+
+/// One served double: the posterior-shaped values the read model renders
+/// (count ratios, uniform probabilities, exp(-x) tails), cycled.
+void BM_JsonDouble(benchmark::State& state) {
+  Pcg32 rng(37);
+  std::vector<double> values;
+  for (int i = 0; i < 4096; ++i) {
+    const uint32_t n = 1 + rng.NextU32() % 1000;
+    values.push_back(static_cast<double>(rng.NextU32() % (n + 1)) / n);
+    values.push_back(rng.NextDouble());
+    values.push_back(std::exp(-rng.NextDouble() * 50.0));
+  }
+  std::string out;
+  size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    serve::AppendJsonDouble(&out, values[i]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    if (++i == values.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonDouble);
+
+/// ReadModel::Build (profiles, edge explanations and the rendered JSON
+/// blobs) on a fitted 5k-user world — the render `mlpctl pack` and every
+/// live-ingest batch pay.
+void BM_ReadModelBuild(benchmark::State& state) {
+  synth::WorldConfig config;
+  config.num_users = 5000;
+  config.seed = 47;
+  static auto world = std::move(synth::GenerateWorld(config).ValueOrDie());
+  static io::ModelSnapshot snapshot = [] {
+    auto referents = world.vocab->ReferentTable();
+    core::ModelInput input;
+    input.gazetteer = world.gazetteer.get();
+    input.graph = world.graph.get();
+    input.distances = world.distances.get();
+    input.venue_referents = &referents;
+    input.observed_home = eval::RegisteredHomes(*world.graph);
+    core::MlpConfig fit_config;
+    fit_config.burn_in_iterations = 2;
+    fit_config.sampling_iterations = 2;
+    fit_config.seed = 53;
+    core::FitCheckpoint checkpoint;
+    core::FitOptions fit_options;
+    fit_options.checkpoint_out = &checkpoint;
+    auto result = core::MlpModel(fit_config).Fit(input, fit_options);
+    return io::MakeModelSnapshot(input, checkpoint, result.ValueOrDie());
+  }();
+  for (auto _ : state) {
+    auto model = serve::ReadModel::Build(snapshot, *world.graph,
+                                         world.gazetteer.get());
+    benchmark::DoNotOptimize(model.ok());
+  }
+  state.counters["users"] = world.graph->num_users();
+  state.counters["edges"] = world.graph->num_following();
+}
+BENCHMARK(BM_ReadModelBuild)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------- obs overhead guard (≤2%)
 

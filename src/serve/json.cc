@@ -1,9 +1,8 @@
 #include "serve/json.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -47,14 +46,32 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string JsonDouble(double v) {
-  // Try the shortest renderings first; fall back to 17 significant digits,
-  // which always round-trips an IEEE double.
+void AppendJsonDouble(std::string* out, double v) {
+  // to_chars/from_chars are the C-locale %.*g and strtod, minus locale and
+  // heap. 17 digits round-trip any finite double; NaN never compares equal
+  // and so keeps the 17-digit text.
+  char buf[32];
+  char* end = buf;
   for (int precision : {15, 16, 17}) {
-    std::string text = StringPrintf("%.*g", precision, v);
-    if (std::strtod(text.c_str(), nullptr) == v) return text;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return StringPrintf("%.17g", v);
+  out->append(buf, end);
+}
+
+std::string JsonDouble(double v) {
+  std::string text;
+  AppendJsonDouble(&text, v);
+  return text;
+}
+
+void AppendJsonInt(std::string* out, int64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 // ------------------------------------------------------------- JsonWriter
@@ -109,12 +126,12 @@ void JsonWriter::String(std::string_view value) {
 
 void JsonWriter::Int(int64_t value) {
   Comma();
-  out_ += std::to_string(value);
+  AppendJsonInt(&out_, value);
 }
 
 void JsonWriter::Double(double value) {
   Comma();
-  out_ += JsonDouble(value);
+  AppendJsonDouble(&out_, value);
 }
 
 void JsonWriter::Bool(bool value) {

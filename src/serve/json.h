@@ -16,10 +16,13 @@ namespace serve {
 /// quotes). Control characters, quotes and backslashes become \-escapes.
 std::string JsonEscape(std::string_view s);
 
-/// Shortest decimal rendering of `v` that parses back to exactly the same
-/// double — the serving layer's "byte-consistent posteriors" guarantee
-/// rests on this round-trip.
+/// Appends `v` as C-locale `%g` with the fewest of 15/16/17 significant
+/// digits that parses back to the same double ("byte-consistent
+/// posteriors"). Not the shortest round-trip form: 0.0001 stays "0.0001"
+/// (not "1e-04"), so packed sections keep their bytes.
+void AppendJsonDouble(std::string* out, double v);
 std::string JsonDouble(double v);
+void AppendJsonInt(std::string* out, int64_t v);
 
 /// Streaming JSON emitter with automatic comma placement. Values are
 /// appended depth-first; the writer never buffers a tree, so building a

@@ -70,75 +70,30 @@ double ReadF64(const uint8_t* p) {
   return v;
 }
 
-void WriteCity(const ReadModel& model, const char* key, geo::CityId id,
-               JsonWriter* w) {
-  w->Key(key);
-  if (id == geo::kInvalidCity) {
-    w->Null();
-    return;
+// `{"city_id":N,"name":"<escaped full name>"` (object left open) for every
+// gazetteer city: the rendered responses repeat a few hundred cities
+// millions of times, so each is escaped and formatted once per Build.
+std::vector<std::string> CityFragments(const geo::Gazetteer* gazetteer) {
+  std::vector<std::string> fragments;
+  for (geo::CityId id = 0; gazetteer != nullptr && id < gazetteer->size();
+       ++id) {
+    fragments.push_back("{\"city_id\":" + std::to_string(id) + ",\"name\":\"" +
+                        JsonEscape(gazetteer->FullName(id)) + '"');
   }
-  w->BeginObject();
-  w->Key("city_id");
-  w->Int(id);
-  w->Key("name");
-  w->String(model.CityName(id));
-  w->EndObject();
+  return fragments;
 }
 
-void WriteUserJson(const ReadModel& model, const UserAnswer& answer,
-                   JsonWriter* w) {
-  w->BeginObject();
-  w->Key("user");
-  w->Int(answer.user);
-  WriteCity(model, "home", answer.home, w);
-  w->Key("profile");
-  w->BeginArray();
-  for (int i = 0; i < answer.entry_count; ++i) {
-    const ProfileEntry& entry = answer.entries[i];
-    w->BeginObject();
-    w->Key("city_id");
-    w->Int(entry.city);
-    w->Key("name");
-    w->String(model.CityName(entry.city));
-    w->Key("p");
-    w->Double(entry.prob);
-    w->EndObject();
+// Appends the city object for `id`, left open so a profile entry can add
+// its "p"; ids outside the gazetteer render with an empty name.
+void AppendOpenCity(const std::vector<std::string>& fragments, geo::CityId id,
+                    std::string* out) {
+  if (id >= 0 && static_cast<size_t>(id) < fragments.size()) {
+    *out += fragments[id];
+  } else {
+    *out += "{\"city_id\":";
+    AppendJsonInt(out, id);
+    *out += ",\"name\":\"\"";
   }
-  w->EndArray();
-  w->Key("friends");
-  w->Int(answer.num_friends);
-  w->Key("followers");
-  w->Int(answer.num_followers);
-  w->Key("tweets");
-  w->Int(answer.num_tweets);
-  w->EndObject();
-}
-
-void WriteEdgeJson(const ReadModel& model, const EdgeAnswer& answer,
-                   JsonWriter* w) {
-  w->BeginObject();
-  w->Key("src");
-  w->Int(answer.src);
-  w->Key("dst");
-  w->Int(answer.dst);
-  w->Key("edge");
-  w->Int(answer.edge);
-  w->Key("explanation");
-  w->BeginObject();
-  WriteCity(model, "x", answer.x, w);
-  WriteCity(model, "y", answer.y, w);
-  w->Key("noise_prob");
-  w->Double(answer.noise_prob);
-  w->Key("location_based_prob");
-  w->Double(1.0 - answer.noise_prob);
-  w->Key("x_support");
-  w->Double(answer.x_support);
-  w->Key("y_support");
-  w->Double(answer.y_support);
-  w->Key("distance_miles");
-  w->Double(answer.distance_miles);
-  w->EndObject();
-  w->EndObject();
 }
 
 }  // namespace
@@ -186,16 +141,19 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
   model.profile_offset_.reserve(num_users + 1);
   model.profile_offset_.push_back(0);
   for (graph::UserId u = 0; u < num_users; ++u) {
+    int64_t keep = static_cast<int64_t>(result.profiles[u].entries().size());
+    if (options.top_k > 0) keep = std::min<int64_t>(keep, options.top_k);
+    model.profile_offset_.push_back(model.profile_offset_.back() + keep);
+  }
+  model.total_profile_entries_ = model.profile_offset_.back();
+  model.entries_.reserve(model.total_profile_entries_);
+  for (graph::UserId u = 0; u < num_users; ++u) {
     const auto& entries = result.profiles[u].entries();
-    int keep = static_cast<int>(entries.size());
-    if (options.top_k > 0) keep = std::min(keep, options.top_k);
-    for (int i = 0; i < keep; ++i) {
+    const int64_t keep = model.profile_offset_[u + 1] - model.profile_offset_[u];
+    for (int64_t i = 0; i < keep; ++i) {
       model.entries_.push_back({entries[i].first, entries[i].second});
     }
-    model.profile_offset_.push_back(
-        static_cast<int64_t>(model.entries_.size()));
   }
-  model.total_profile_entries_ = static_cast<int64_t>(model.entries_.size());
 
   // ---- per-user degrees ----
   model.num_friends_.resize(num_users);
@@ -255,27 +213,69 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
   // Rendering is hoisted out of the request path entirely: the model is
   // immutable, so every answer body is known at build time. Point queries
   // become substring copies and batch responses a concatenation scan.
+  // Each helper appends `key` (a literal with its own punctuation), then
+  // the value, straight into a blob from the columns above.
+  const std::vector<std::string> cities = CityFragments(gazetteer);
+  auto put_int = [](std::string* out, const char* key, int64_t v) {
+    *out += key;
+    AppendJsonInt(out, v);
+  };
+  auto put_double = [](std::string* out, const char* key, double v) {
+    *out += key;
+    AppendJsonDouble(out, v);
+  };
+  auto put_city = [&cities](std::string* out, const char* key,
+                            geo::CityId id) {
+    *out += key;
+    if (id == geo::kInvalidCity) {
+      *out += "null";
+    } else {
+      AppendOpenCity(cities, id, out);
+      *out += '}';
+    }
+  };
+  // Reserved ~10% over typical body sizes (5k-user world: ~100 B per user
+  // + ~64 B per profile entry, ~263 B per edge) so blobs are not regrown.
+  std::string& users = model.user_json_;
+  users.reserve(static_cast<size_t>(num_users) * 110 +
+                static_cast<size_t>(model.total_profile_entries_) * 70);
   model.user_json_offset_.reserve(num_users + 1);
   model.user_json_offset_.push_back(0);
   for (graph::UserId u = 0; u < num_users; ++u) {
-    UserAnswer answer;
-    model.GetUser(u, &answer);
-    JsonWriter w;
-    WriteUserJson(model, answer, &w);
-    model.user_json_ += w.str();
-    model.user_json_offset_.push_back(
-        static_cast<int64_t>(model.user_json_.size()));
+    put_int(&users, "{\"user\":", u);
+    put_city(&users, ",\"home\":", model.home_[u]);
+    users += ",\"profile\":[";
+    for (int64_t i = model.profile_offset_[u];
+         i < model.profile_offset_[u + 1]; ++i) {
+      if (i > model.profile_offset_[u]) users += ',';
+      AppendOpenCity(cities, model.entries_[i].city, &users);
+      put_double(&users, ",\"p\":", model.entries_[i].prob);
+      users += '}';
+    }
+    put_int(&users, "],\"friends\":", model.num_friends_[u]);
+    put_int(&users, ",\"followers\":", model.num_followers_[u]);
+    put_int(&users, ",\"tweets\":", model.num_tweets_[u]);
+    users += '}';
+    model.user_json_offset_.push_back(static_cast<int64_t>(users.size()));
   }
+  std::string& edges = model.edge_json_;
+  edges.reserve(static_cast<size_t>(num_edges) * 300);
   model.edge_json_offset_.reserve(num_edges + 1);
   model.edge_json_offset_.push_back(0);
   for (graph::EdgeId s = 0; s < num_edges; ++s) {
-    EdgeAnswer answer;
-    model.GetEdgeById(s, &answer);
-    JsonWriter w;
-    WriteEdgeJson(model, answer, &w);
-    model.edge_json_ += w.str();
-    model.edge_json_offset_.push_back(
-        static_cast<int64_t>(model.edge_json_.size()));
+    put_int(&edges, "{\"src\":", model.edge_src_[s]);
+    put_int(&edges, ",\"dst\":", model.edge_dst_[s]);
+    put_int(&edges, ",\"edge\":", s);
+    put_city(&edges, ",\"explanation\":{\"x\":", model.edge_x_[s]);
+    put_city(&edges, ",\"y\":", model.edge_y_[s]);
+    put_double(&edges, ",\"noise_prob\":", model.edge_noise_[s]);
+    put_double(&edges, ",\"location_based_prob\":",
+               1.0 - model.edge_noise_[s]);
+    put_double(&edges, ",\"x_support\":", model.edge_x_support_[s]);
+    put_double(&edges, ",\"y_support\":", model.edge_y_support_[s]);
+    put_double(&edges, ",\"distance_miles\":", model.edge_distance_[s]);
+    edges += "}}";
+    model.edge_json_offset_.push_back(static_cast<int64_t>(edges.size()));
   }
 
   return model;
@@ -322,11 +322,6 @@ bool ReadModel::GetEdgeById(graph::EdgeId s, EdgeAnswer* out) const {
 bool ReadModel::GetEdge(graph::UserId src, graph::UserId dst,
                         EdgeAnswer* out) const {
   return GetEdgeById(FindEdge(src, dst), out);
-}
-
-std::string ReadModel::CityName(geo::CityId id) const {
-  if (gazetteer_ == nullptr || id < 0 || id >= gazetteer_->size()) return "";
-  return gazetteer_->FullName(id);
 }
 
 double ReadModel::mean_profile_entries() const {

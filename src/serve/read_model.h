@@ -154,7 +154,6 @@ class ReadModel {
   }
 
   const geo::Gazetteer* gazetteer() const { return gazetteer_; }
-  std::string CityName(geo::CityId id) const;
 
   // ---- model metadata served by /statsz ----
   double alpha() const { return alpha_; }

@@ -5,15 +5,22 @@
 // that served posteriors are byte-consistent with MlpResult.
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/model.h"
 #include "io/model_snapshot.h"
 #include "obs/trace.h"
@@ -68,6 +75,57 @@ TEST(JsonTest, DoubleRenderingRoundTripsExactly) {
     std::string text = JsonDouble(v);
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
   }
+}
+
+/// Reference for AppendJsonDouble, written with snprintf/strtod: the fewest
+/// of 15/16/17 significant digits, in %g form, that strtod reads back.
+std::string ReferenceJsonDouble(double v) {
+  for (int precision : {15, 16, 17}) {
+    std::string text = StringPrintf("%.*g", precision, v);
+    if (std::strtod(text.c_str(), nullptr) == v) return text;
+  }
+  return StringPrintf("%.17g", v);
+}
+
+TEST(JsonTest, DoubleRenderingMatchesPrintfReference) {
+  // Not the shortest round-trip form (that would be 1e-04, 1e+05): packed
+  // sections keep their bytes only while this %g form holds.
+  EXPECT_EQ(JsonDouble(0.0001), "0.0001");
+  EXPECT_EQ(JsonDouble(100000.0), "100000");
+  EXPECT_EQ(JsonDouble(1e15), "1e+15");
+  for (double v : {0.0, -0.0, 1e-5, 0.0001, 100000.0, 1e15, 1e16, 1e17,
+                   5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(JsonDouble(v), ReferenceJsonDouble(v)) << v;
+  }
+
+  // Seeded sweep over the value shapes the read model serves: count
+  // ratios, uniform posteriors, exp(-x) tails, plus arbitrary bit patterns.
+  std::mt19937_64 rng(20121);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  int mismatches = 0;
+  auto check = [&](double v) {
+    std::string text;
+    AppendJsonDouble(&text, v);
+    if (text != ReferenceJsonDouble(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << text << " vs " << ReferenceJsonDouble(v);
+    }
+  };
+  constexpr int kPerShape = 250000;
+  for (int i = 0; i < kPerShape; ++i) {
+    const uint64_t n = 1 + rng() % 100000;
+    check(static_cast<double>(rng() % (n + 1)) / static_cast<double>(n));
+    check(uniform(rng));
+    check(std::exp(-uniform(rng) * 745.0));
+    const uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    check(v);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(JsonTest, ParserHandlesEscapesAndNumbers) {
@@ -292,6 +350,137 @@ TEST(ReadModelTest, RejectsMismatchedGraph) {
   Result<ReadModel> model =
       ReadModel::Build(snapshot, *other.graph, other.gazetteer.get());
   EXPECT_FALSE(model.ok());
+}
+
+// ------------------------------------------------ reference renderer
+
+// Reference renderer for ReadModel's bodies: a JsonWriter per entity over
+// the struct answers, names through Gazetteer::FullName, ints through
+// std::to_string and doubles through ReferenceJsonDouble. It shares no
+// formatter or city table with Build, so it pins the served bytes.
+
+void ReferenceDouble(double v, JsonWriter* w) {
+  w->Raw(ReferenceJsonDouble(v));
+}
+
+std::string ReferenceCityName(const geo::Gazetteer* gazetteer,
+                              geo::CityId id) {
+  if (gazetteer == nullptr || id < 0 || id >= gazetteer->size()) return "";
+  return gazetteer->FullName(id);
+}
+
+void WriteCity(const geo::Gazetteer* gazetteer, const char* key,
+               geo::CityId id, JsonWriter* w) {
+  w->Key(key);
+  if (id == geo::kInvalidCity) {
+    w->Null();
+    return;
+  }
+  w->BeginObject();
+  w->Key("city_id");
+  w->Raw(std::to_string(id));
+  w->Key("name");
+  w->String(ReferenceCityName(gazetteer, id));
+  w->EndObject();
+}
+
+std::string WriteUserJson(const geo::Gazetteer* gazetteer,
+                          const UserAnswer& answer) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("user");
+  w.Raw(std::to_string(answer.user));
+  WriteCity(gazetteer, "home", answer.home, &w);
+  w.Key("profile");
+  w.BeginArray();
+  for (int i = 0; i < answer.entry_count; ++i) {
+    const ProfileEntry& entry = answer.entries[i];
+    w.BeginObject();
+    w.Key("city_id");
+    w.Raw(std::to_string(entry.city));
+    w.Key("name");
+    w.String(ReferenceCityName(gazetteer, entry.city));
+    w.Key("p");
+    ReferenceDouble(entry.prob, &w);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("friends");
+  w.Raw(std::to_string(answer.num_friends));
+  w.Key("followers");
+  w.Raw(std::to_string(answer.num_followers));
+  w.Key("tweets");
+  w.Raw(std::to_string(answer.num_tweets));
+  w.EndObject();
+  return w.str();
+}
+
+std::string WriteEdgeJson(const geo::Gazetteer* gazetteer,
+                          const EdgeAnswer& answer) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("src");
+  w.Raw(std::to_string(answer.src));
+  w.Key("dst");
+  w.Raw(std::to_string(answer.dst));
+  w.Key("edge");
+  w.Raw(std::to_string(answer.edge));
+  w.Key("explanation");
+  w.BeginObject();
+  WriteCity(gazetteer, "x", answer.x, &w);
+  WriteCity(gazetteer, "y", answer.y, &w);
+  w.Key("noise_prob");
+  ReferenceDouble(answer.noise_prob, &w);
+  w.Key("location_based_prob");
+  ReferenceDouble(1.0 - answer.noise_prob, &w);
+  w.Key("x_support");
+  ReferenceDouble(answer.x_support, &w);
+  w.Key("y_support");
+  ReferenceDouble(answer.y_support, &w);
+  w.Key("distance_miles");
+  ReferenceDouble(answer.distance_miles, &w);
+  w.EndObject();
+  w.EndObject();
+  return w.str();
+}
+
+/// Every UserJson/EdgeJson body equals the reference renderer's bytes.
+void ExpectReferenceRender(const io::ModelSnapshot& snapshot,
+                           const graph::SocialGraph& graph,
+                           const geo::Gazetteer* gazetteer, int top_k) {
+  ReadModelOptions options;
+  options.top_k = top_k;
+  Result<ReadModel> model =
+      ReadModel::Build(snapshot, graph, gazetteer, options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  for (graph::UserId u = 0; u < model->num_users(); ++u) {
+    UserAnswer answer;
+    ASSERT_TRUE(model->GetUser(u, &answer));
+    ASSERT_EQ(model->UserJson(u), WriteUserJson(gazetteer, answer))
+        << "user " << u << " top_k " << top_k;
+  }
+  for (graph::EdgeId s = 0; s < model->num_edges(); ++s) {
+    EdgeAnswer answer;
+    ASSERT_TRUE(model->GetEdgeById(s, &answer));
+    ASSERT_EQ(model->EdgeJson(s), WriteEdgeJson(gazetteer, answer))
+        << "edge " << s << " top_k " << top_k;
+  }
+}
+
+TEST(ReadModelTest, RenderedBodiesMatchReferenceRenderer) {
+  synth::SyntheticWorld world = TestWorld(220, 7);
+  io::ModelSnapshot snapshot = FitSnapshot(world, SmallConfig(), "");
+  // Unassigned cities render as null; make sure some bodies carry them.
+  ASSERT_GE(snapshot.result.following.size(), 2u);
+  snapshot.result.home[0] = geo::kInvalidCity;
+  snapshot.result.following[0].x = geo::kInvalidCity;
+  snapshot.result.following[1].y = geo::kInvalidCity;
+  for (int top_k : {10, 0, -1}) {
+    ExpectReferenceRender(snapshot, *world.graph, world.gazetteer.get(),
+                          top_k);
+  }
+  // Without a gazetteer names are empty and distances 0.
+  ExpectReferenceRender(snapshot, *world.graph, nullptr, 10);
 }
 
 // ------------------------------------------------------ mmap-backed parity

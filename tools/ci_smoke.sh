@@ -205,9 +205,11 @@ live_pipeline() {
 # main() also runs the obs overhead guards (fit-sweep + per-request trace).
 bench_micro() {
   local bench="${1:?bench_micro path}"
-  # Bare-double min_time parses on every google-benchmark vintage; the
-  # "0.01s" suffix form is rejected before 1.8.
-  "$bench" --benchmark_filter=BM_Haversine --benchmark_min_time=0.01
+  # BM_JsonDouble/BM_ReadModelBuild keep the serve-section render cost in
+  # the job log. Bare-double min_time parses on every google-benchmark
+  # vintage; the "0.01s" suffix form is rejected before 1.8.
+  "$bench" --benchmark_filter='BM_Haversine|BM_JsonDouble|BM_ReadModelBuild' \
+    --benchmark_min_time=0.01
   log "bench_micro OK"
 }
 
