@@ -307,11 +307,11 @@ int RunObsOverheadGuard() {
 
 /// Same contract for the per-request serving path: full HTTP round trips
 /// (the unit the request-trace instrumentation taxes — socket read, parse,
-/// route, cache, render, write) against a live ModelServer, with request
+/// route, render, write) against a live ModelServer, with request
 /// tracing enabled vs. obs::SetEnabled(false). Minima of interleaved
-/// repetitions, ≤2% budget. Uses a keep-alive connection and a cycling
-/// target set so most requests after the first pass are cache hits — the
-/// fastest (worst-case relative overhead) request shape.
+/// repetitions, ≤2% budget. Uses a keep-alive connection and point
+/// queries — pre-rendered substring copies, the fastest (worst-case
+/// relative overhead) request shape.
 int RunRequestTraceOverheadGuard() {
   synth::WorldConfig config;
   config.num_users = 300;
@@ -347,7 +347,6 @@ int RunRequestTraceOverheadGuard() {
   serve::ServeOptions options;
   options.port = 0;  // ephemeral
   options.threads = 2;
-  options.cache_mb = 8;
   serve::ModelServer server(std::move(*model), options);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "request_trace_guard: server start failed\n");
@@ -378,7 +377,7 @@ int RunRequestTraceOverheadGuard() {
                                          start)
         .count();
   };
-  run_requests(true);  // shared warmup (cache fill, connection, predictors)
+  run_requests(true);  // shared warmup (connection, predictors)
   double min_enabled = 1e30;
   double min_disabled = 1e30;
   for (int rep = 0; rep < kRepetitions; ++rep) {

@@ -15,10 +15,6 @@ const char* RequestStageName(RequestStage stage) {
   switch (stage) {
     case RequestStage::kParse:
       return "parse";
-    case RequestStage::kCacheLookup:
-      return "cache_lookup";
-    case RequestStage::kBatchQueueWait:
-      return "batch_queue_wait";
     case RequestStage::kRender:
       return "render";
     case RequestStage::kWrite:
@@ -31,10 +27,6 @@ const char* RequestStageCounterName(RequestStage stage) {
   switch (stage) {
     case RequestStage::kParse:
       return kServeStageParseNs;
-    case RequestStage::kCacheLookup:
-      return kServeStageCacheLookupNs;
-    case RequestStage::kBatchQueueWait:
-      return kServeStageBatchQueueWaitNs;
     case RequestStage::kRender:
       return kServeStageRenderNs;
     case RequestStage::kWrite:

@@ -13,25 +13,19 @@ namespace obs {
 /// The set is fixed: a stage is an index into a flat array on the trace,
 /// so recording costs two clock reads and one add — no maps, no strings.
 enum class RequestStage : int {
-  kParse = 0,          // socket read + HTTP parse of the request
-  kCacheLookup = 1,    // ResponseCache::Get under the pinned generation
-  kBatchQueueWait = 2, // batch chunks waiting for a batch-pool worker
-  kRender = 3,         // ReadModel rendering / fragment assembly
-  kWrite = 4,          // response serialization + socket write
+  kParse = 0,   // socket read + HTTP parse of the request
+  kRender = 1,  // ReadModel lookup + pre-rendered fragment copy/assembly
+  kWrite = 2,   // response serialization + socket write
 };
-inline constexpr int kNumRequestStages = 5;
+inline constexpr int kNumRequestStages = 3;
 
-/// Stable display name ("parse", "cache_lookup", ...) for logs and /debug
+/// Stable display name ("parse", "render", "write") for logs and /debug
 /// surfaces.
 const char* RequestStageName(RequestStage stage);
 
 // Per-stage aggregate counters (accumulate nanoseconds across requests),
 // scraped from /metricsz and summarized by /statusz.
 inline constexpr char kServeStageParseNs[] = "serve_stage_parse_ns";
-inline constexpr char kServeStageCacheLookupNs[] =
-    "serve_stage_cache_lookup_ns";
-inline constexpr char kServeStageBatchQueueWaitNs[] =
-    "serve_stage_batch_queue_wait_ns";
 inline constexpr char kServeStageRenderNs[] = "serve_stage_render_ns";
 inline constexpr char kServeStageWriteNs[] = "serve_stage_write_ns";
 
@@ -41,9 +35,9 @@ const char* RequestStageCounterName(RequestStage stage);
 /// Request-scoped trace context: a process-monotonic request id plus
 /// per-stage nanosecond timings. Created by serve::HttpServer when a
 /// request's first byte arrives and threaded through ModelServer →
-/// ResponseCache → RequestBatcher → ReadModel; each layer accumulates into
-/// the stage it owns. One trace belongs to one request and is only ever
-/// touched by the thread serving it — no locking anywhere.
+/// ReadModel; each layer accumulates into the stage it owns. One trace
+/// belongs to one request and is only ever touched by the thread serving
+/// it — no locking anywhere.
 ///
 /// Cost discipline: when obs::Enabled() is false NowNs() returns 0, so
 /// every stage timer degenerates to branch-only work; the id assignment
@@ -72,8 +66,8 @@ class RequestTrace {
     return stage_ns_[static_cast<int>(stage)];
   }
 
-  /// Static strings only (endpoint/outcome label the per-endpoint
-  /// histograms; nothing is copied on the hot path).
+  /// Static strings only (the endpoint picks the per-endpoint histogram,
+  /// the outcome marks errors in logs; nothing is copied on the hot path).
   void set_endpoint(const char* endpoint) { endpoint_ = endpoint; }
   const char* endpoint() const { return endpoint_; }
   void set_outcome(const char* outcome) { outcome_ = outcome; }
@@ -115,7 +109,7 @@ class RequestTrace {
   int64_t start_ns_;
   int64_t total_ns_ = 0;
   bool finished_ = false;
-  int64_t stage_ns_[kNumRequestStages] = {0, 0, 0, 0, 0};
+  int64_t stage_ns_[kNumRequestStages] = {};
   const char* endpoint_ = "other";
   const char* outcome_ = "none";
   int status_ = 0;

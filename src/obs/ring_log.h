@@ -19,7 +19,7 @@ struct RequestTraceRecord {
   uint64_t id = 0;
   int64_t start_ns = 0;
   int64_t total_ns = 0;
-  int64_t stage_ns[kNumRequestStages] = {0, 0, 0, 0, 0};
+  int64_t stage_ns[kNumRequestStages] = {};
   const char* endpoint = "other";  // static strings (see RequestTrace)
   const char* outcome = "none";
   int status = 0;

@@ -36,8 +36,8 @@ struct HttpResponse {
 
 /// Request handler. The server creates one obs::RequestTrace per request
 /// (request id + parse time already recorded) and hands it to the handler,
-/// which attributes its own stages (cache lookup, batch queue wait,
-/// render) and labels endpoint/outcome. Never null.
+/// which attributes its own stage (render) and labels endpoint/outcome.
+/// Never null.
 using HttpHandler =
     std::function<HttpResponse(const HttpRequest&, obs::RequestTrace*)>;
 

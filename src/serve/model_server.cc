@@ -70,24 +70,17 @@ std::vector<int64_t> LatencyBoundsUs() {
 
 ModelServer::ModelServer(ReadModel model, const ServeOptions& options)
     : options_(options),
-      cache_(static_cast<size_t>(std::max(0, options.cache_mb)) * 1024 * 1024),
       conn_pool_(std::max(1, options.threads)),
-      batch_pool_(std::max(1, options.threads)),
-      batcher_(nullptr, &batch_pool_),
       http_(&conn_pool_),
       slow_ring_(static_cast<size_t>(std::max(1, options.slow_ring_capacity))),
       requests_total_(
           obs::Registry::Global().GetCounter("serve_requests_total")),
       request_latency_us_(obs::Registry::Global().GetHistogram(
           "serve_request_latency_us", LatencyBoundsUs())),
-      user_hit_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_user_hit_latency_us", LatencyBoundsUs())),
-      user_miss_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_user_miss_latency_us", LatencyBoundsUs())),
-      edge_hit_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_edge_hit_latency_us", LatencyBoundsUs())),
-      edge_miss_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_edge_miss_latency_us", LatencyBoundsUs())),
+      user_latency_us_(obs::Registry::Global().GetHistogram(
+          "serve_user_latency_us", LatencyBoundsUs())),
+      edge_latency_us_(obs::Registry::Global().GetHistogram(
+          "serve_edge_latency_us", LatencyBoundsUs())),
       batch_latency_us_(obs::Registry::Global().GetHistogram(
           "serve_batch_latency_us", LatencyBoundsUs())),
       other_latency_us_(obs::Registry::Global().GetHistogram(
@@ -139,7 +132,6 @@ Status ModelServer::Start() {
 void ModelServer::Stop() {
   if (stopped_.exchange(true)) return;
   http_.Stop();
-  batch_pool_.Drain();
   conn_pool_.Drain();
   if (access_log_file_ != nullptr) {
     std::fclose(access_log_file_);
@@ -156,19 +148,14 @@ std::shared_ptr<const ModelServer::Published> ModelServer::Pin() const {
 
 void ModelServer::SwapReadModel(ReadModel model) {
   // Swaps serialize on a control-plane mutex: two concurrent swaps must
-  // not mint the same generation (the cache namespaces by it) or publish
-  // out of order. The data path never takes this lock — requests only
-  // atomic_load the published pair.
+  // not mint the same generation or publish out of order. The data path
+  // never takes this lock — requests only atomic_load the published pair.
   std::lock_guard<std::mutex> lock(swap_mu_);
   auto fresh = std::make_shared<Published>();
   fresh->model = std::make_shared<const ReadModel>(std::move(model));
   fresh->generation = Pin()->generation + 1;
   std::atomic_store(&published_,
                     std::shared_ptr<const Published>(std::move(fresh)));
-  // Cache keys carry the generation, so stale bodies are unreachable the
-  // instant the store lands; clearing just hands the byte budget to the
-  // new model without waiting for LRU pressure.
-  cache_.Clear();
   swaps_.fetch_add(1);
   last_swap_ns_.store(SteadyNs());
 }
@@ -186,34 +173,6 @@ std::shared_ptr<const ReadModel> ModelServer::model() const {
 uint64_t ModelServer::model_generation() const { return Pin()->generation; }
 
 // --------------------------------------------------------------- routing
-
-HttpResponse ModelServer::CachedGet(
-    const Published& published, const std::string& target,
-    HttpResponse (ModelServer::*render)(const ReadModel&, const std::string&),
-    const std::string& arg, obs::RequestTrace* trace) {
-  // Generation-namespaced key: a body rendered from model generation G can
-  // only ever serve generation G, no matter how requests and swaps race.
-  const std::string key =
-      StringPrintf("g%llu %s",
-                   static_cast<unsigned long long>(published.generation),
-                   target.c_str());
-  HttpResponse response;
-  {
-    obs::RequestTrace::StageTimer timer(trace,
-                                        obs::RequestStage::kCacheLookup);
-    if (cache_.Get(key, &response.body)) {
-      trace->set_outcome("hit");
-      return response;  // cached bodies are always 200/application/json
-    }
-  }
-  trace->set_outcome("miss");
-  {
-    obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
-    response = (this->*render)(*published.model, arg);
-  }
-  if (response.status == 200) cache_.Put(key, response.body);
-  return response;
-}
 
 HttpResponse ModelServer::HandleUser(const ReadModel& model,
                                      const std::string& rest) {
@@ -274,53 +233,62 @@ HttpResponse ModelServer::HandleBatch(const ReadModel& model,
     errors_.fetch_add(1);
     return ErrorResponse(400, "batch body must be a JSON object");
   }
-  BatchRequest batch;
-  if (const JsonValue* users = parsed->Find("users")) {
-    if (!users->is_array()) {
-      errors_.fetch_add(1);
-      return ErrorResponse(400, "\"users\" must be an array of ids");
-    }
-    batch.users.reserve(users->items.size());
-    for (const JsonValue& item : users->items) {
-      batch.users.push_back(NarrowUserId(item.AsInt(-1)));
-    }
+  const JsonValue* users = parsed->Find("users");
+  if (users != nullptr && !users->is_array()) {
+    errors_.fetch_add(1);
+    return ErrorResponse(400, "\"users\" must be an array of ids");
   }
-  if (const JsonValue* edges = parsed->Find("edges")) {
+  const JsonValue* edges = parsed->Find("edges");
+  if (edges != nullptr) {
     if (!edges->is_array()) {
       errors_.fetch_add(1);
       return ErrorResponse(400, "\"edges\" must be an array of [src,dst]");
     }
-    batch.edges.reserve(edges->items.size());
     for (const JsonValue& item : edges->items) {
       if (!item.is_array() || item.items.size() != 2) {
         errors_.fetch_add(1);
         return ErrorResponse(400, "each edge must be a [src,dst] pair");
       }
-      batch.edges.emplace_back(NarrowUserId(item.items[0].AsInt(-1)),
-                               NarrowUserId(item.items[1].AsInt(-1)));
     }
   }
-  batch_queries_.fetch_add(batch.users.size() + batch.edges.size());
 
+  // {"users":[...],"edges":[...]} aligned 1:1 with the request: each slot
+  // is the point endpoint's pre-rendered body, or null when missing.
+  obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
   HttpResponse response;
-  trace->set_outcome("batch");
-  const int64_t exec_start_ns = obs::NowNs();
-  response.body = batcher_.ExecuteJson(model, batch, trace);
-  if (exec_start_ns > 0) {
-    // The batcher attributed chunk queue wait separately; render is the
-    // execute time minus that wait, so the two stages stay disjoint.
-    const int64_t elapsed = obs::NowNs() - exec_start_ns;
-    trace->AddStageNs(
-        obs::RequestStage::kRender,
-        elapsed - trace->stage_ns(obs::RequestStage::kBatchQueueWait));
+  std::string& body = response.body;
+  auto append = [&body](std::string_view fragment) {
+    if (fragment.empty()) {
+      body += "null";
+    } else {
+      body.append(fragment.data(), fragment.size());
+    }
+  };
+  body = "{\"users\":[";
+  if (users != nullptr) {
+    for (size_t i = 0; i < users->items.size(); ++i) {
+      if (i > 0) body += ',';
+      append(model.UserJson(NarrowUserId(users->items[i].AsInt(-1))));
+    }
   }
+  body += "],\"edges\":[";
+  if (edges != nullptr) {
+    for (size_t i = 0; i < edges->items.size(); ++i) {
+      if (i > 0) body += ',';
+      const std::vector<JsonValue>& pair = edges->items[i].items;
+      append(model.EdgeJson(model.FindEdge(NarrowUserId(pair[0].AsInt(-1)),
+                                           NarrowUserId(pair[1].AsInt(-1)))));
+    }
+  }
+  body += "]}";
+  batch_queries_.fetch_add((users != nullptr ? users->items.size() : 0) +
+                           (edges != nullptr ? edges->items.size() : 0));
   return response;
 }
 
 HttpResponse ModelServer::HandleStats(const Published& published,
                                       const std::string& query) {
   const ReadModel& model = *published.model;
-  const ResponseCache::Stats cache = cache_.GetStats();
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
@@ -360,16 +328,8 @@ HttpResponse ModelServer::HandleStats(const Published& published,
   add("user_queries", std::to_string(user_queries_.load()));
   add("edge_queries", std::to_string(edge_queries_.load()));
   add("batch_lookups", std::to_string(batch_queries_.load()));
-  add("batches_executed", std::to_string(batcher_.batches_executed()));
   add("errors", std::to_string(errors_.load()));
-  add("cache_hits", std::to_string(cache.hits));
-  add("cache_misses", std::to_string(cache.misses));
-  add("cache_evictions", std::to_string(cache.evictions));
-  add("cache_entries", std::to_string(cache.entries));
-  add("cache_bytes", std::to_string(cache.bytes));
-  add("cache_capacity_bytes", std::to_string(cache.capacity_bytes));
   add("conn_queue_depth", std::to_string(conn_pool_.queue_depth()));
-  add("batch_queue_depth", std::to_string(batch_pool_.queue_depth()));
   // Live ingest daemon (ISSUE 10): the spool watcher's registry metrics,
   // surfaced here so the CI live-pipeline job (and operators) can poll a
   // single JSON endpoint for swap progress and quarantine counts. All
@@ -413,9 +373,7 @@ HttpResponse ModelServer::HandleStats(const Published& published,
 HttpResponse ModelServer::HandleMetrics(const Published& published) {
   // Everything the process-wide registry holds (fit/ingest phase counters,
   // the request-latency histograms), plus server-local stats rendered in
-  // the same exposition format. Queue depths and cache occupancy are
-  // gauges; the cache tallies are cumulative counters.
-  const ResponseCache::Stats cache = cache_.GetStats();
+  // the same exposition format.
   // Every scrape sees the memory picture as of this scrape, not as of the
   // last /statsz visit: refresh VmRSS/VmHWM before rendering.
   obs::UpdateProcessRssGauges();
@@ -428,17 +386,9 @@ HttpResponse ModelServer::HandleMetrics(const Published& published) {
     body += StringPrintf("# TYPE %s gauge\n%s %lld\n", name, name,
                          static_cast<long long>(value));
   };
-  counter("serve_cache_hits", cache.hits);
-  counter("serve_cache_misses", cache.misses);
-  counter("serve_cache_evictions", cache.evictions);
   counter("serve_errors_total", errors_.load());
   counter("serve_model_swaps_total", swaps_.load());
-  gauge("serve_cache_entries", static_cast<int64_t>(cache.entries));
-  gauge("serve_cache_bytes", static_cast<int64_t>(cache.bytes));
-  gauge("serve_cache_capacity_bytes",
-        static_cast<int64_t>(cache.capacity_bytes));
   gauge("serve_conn_queue_depth", conn_pool_.queue_depth());
-  gauge("serve_batch_queue_depth", batch_pool_.queue_depth());
   gauge("serve_model_generation", static_cast<int64_t>(published.generation));
   gauge("serve_seconds_since_last_swap",
         static_cast<int64_t>(SecondsSinceLastSwap()));
@@ -450,7 +400,6 @@ HttpResponse ModelServer::HandleMetrics(const Published& published) {
 
 HttpResponse ModelServer::HandleStatusz(const Published& published) {
   const ReadModel& model = *published.model;
-  const ResponseCache::Stats cache = cache_.GetStats();
   obs::UpdateProcessRssGauges();
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -459,11 +408,6 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
   const uint64_t requests = http_.requests_served();
   const double qps = uptime > 0.0 ? static_cast<double>(requests) / uptime
                                   : 0.0;
-  const uint64_t lookups = cache.hits + cache.misses;
-  const double hit_ratio =
-      lookups > 0 ? static_cast<double>(cache.hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
 
   std::string body;
   body +=
@@ -488,9 +432,6 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
   row("seconds_since_last_swap",
       StringPrintf("%.1f", SecondsSinceLastSwap()));
   row("model_users", std::to_string(model.num_users()));
-  row("cache_hit_ratio", StringPrintf("%.3f", hit_ratio));
-  row("cache_entries", std::to_string(cache.entries));
-  row("cache_bytes", std::to_string(cache.bytes));
   row("vm_rss_bytes", std::to_string(obs::ProcessRssBytes()));
   row("vm_hwm_bytes", std::to_string(obs::ProcessPeakRssBytes()));
   row("slow_requests_captured", std::to_string(slow_ring_.total_pushed()));
@@ -537,10 +478,8 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
         obs::HistogramQuantile(snap, 0.5), obs::HistogramQuantile(snap, 0.99));
   };
   latency_row("all", request_latency_us_);
-  latency_row("user (hit)", user_hit_latency_us_);
-  latency_row("user (miss)", user_miss_latency_us_);
-  latency_row("edge (hit)", edge_hit_latency_us_);
-  latency_row("edge (miss)", edge_miss_latency_us_);
+  latency_row("user", user_latency_us_);
+  latency_row("edge", edge_latency_us_);
   latency_row("batch", batch_latency_us_);
   latency_row("other", other_latency_us_);
   body += "</table>\n";
@@ -680,17 +619,10 @@ void ModelServer::FinishRequest(const HttpRequest& request,
       else if (endpoint == "batch") errors = batch_errors_total_;
       errors->Add(1);
     } else {
-      const std::string_view outcome = trace.outcome();
       obs::Histogram* latency = other_latency_us_;
-      if (endpoint == "user") {
-        latency = outcome == "hit" ? user_hit_latency_us_
-                                   : user_miss_latency_us_;
-      } else if (endpoint == "edge") {
-        latency = outcome == "hit" ? edge_hit_latency_us_
-                                   : edge_miss_latency_us_;
-      } else if (endpoint == "batch") {
-        latency = batch_latency_us_;
-      }
+      if (endpoint == "user") latency = user_latency_us_;
+      else if (endpoint == "edge") latency = edge_latency_us_;
+      else if (endpoint == "batch") latency = batch_latency_us_;
       latency->Record(total_us);
     }
     if (options_.slow_request_us > 0 && total_us >= options_.slow_request_us) {
@@ -758,8 +690,9 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
       errors_.fetch_add(1);
       return ErrorResponse(405, "use GET");
     }
-    return CachedGet(*published, path, &ModelServer::HandleUser,
-                     path.substr(sizeof(kUserPrefix) - 1), trace);
+    obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
+    return HandleUser(*published->model,
+                      path.substr(sizeof(kUserPrefix) - 1));
   }
   if (path.rfind(kEdgePrefix, 0) == 0) {
     trace->set_endpoint("edge");
@@ -767,8 +700,9 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
       errors_.fetch_add(1);
       return ErrorResponse(405, "use GET");
     }
-    return CachedGet(*published, path, &ModelServer::HandleEdge,
-                     path.substr(sizeof(kEdgePrefix) - 1), trace);
+    obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
+    return HandleEdge(*published->model,
+                      path.substr(sizeof(kEdgePrefix) - 1));
   }
   if (path == "/v1/batch") {
     trace->set_endpoint("batch");

@@ -25,8 +25,8 @@ uint64_t EdgeKey(graph::UserId src, graph::UserId dst) {
 // Appended after the snapshot's checksummed core payload; byte layout in
 // src/io/README.md. Everything the HTTP surface needs at query time lives
 // in 64-byte-aligned arrays so the mapper can point straight into the
-// file: the two JSON blobs, their CSR offsets, and a sorted key table
-// replacing the hash index.
+// file: the two JSON blobs, their CSR offsets, and the sorted key table
+// with its parallel edge ids — the same views a built model holds.
 constexpr char kServeMagic[8] = {'M', 'L', 'P', 'S', 'E', 'R', 'V', 'E'};
 constexpr uint32_t kServeEndianMarker = 0x01020304u;
 constexpr uint64_t kServeAlign = 64;
@@ -136,46 +136,14 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
   model.active_slots_ = snapshot.phi_offset.back();
   model.layout_version_ = snapshot.checkpoint.activation.layout_version;
 
-  // ---- flat top-K profiles (posteriors copied verbatim) ----
-  model.home_ = result.home;
-  model.profile_offset_.reserve(num_users + 1);
-  model.profile_offset_.push_back(0);
-  for (graph::UserId u = 0; u < num_users; ++u) {
+  // Profile entries served per user: the posterior top-K, verbatim.
+  auto profile_size = [&](graph::UserId u) {
     int64_t keep = static_cast<int64_t>(result.profiles[u].entries().size());
-    if (options.top_k > 0) keep = std::min<int64_t>(keep, options.top_k);
-    model.profile_offset_.push_back(model.profile_offset_.back() + keep);
-  }
-  model.total_profile_entries_ = model.profile_offset_.back();
-  model.entries_.reserve(model.total_profile_entries_);
+    return options.top_k > 0 ? std::min<int64_t>(keep, options.top_k) : keep;
+  };
   for (graph::UserId u = 0; u < num_users; ++u) {
-    const auto& entries = result.profiles[u].entries();
-    const int64_t keep = model.profile_offset_[u + 1] - model.profile_offset_[u];
-    for (int64_t i = 0; i < keep; ++i) {
-      model.entries_.push_back({entries[i].first, entries[i].second});
-    }
+    model.total_profile_entries_ += profile_size(u);
   }
-
-  // ---- per-user degrees ----
-  model.num_friends_.resize(num_users);
-  model.num_followers_.resize(num_users);
-  model.num_tweets_.resize(num_users);
-  for (graph::UserId u = 0; u < num_users; ++u) {
-    model.num_friends_[u] = static_cast<int32_t>(graph.OutEdges(u).size());
-    model.num_followers_[u] = static_cast<int32_t>(graph.InEdges(u).size());
-    model.num_tweets_[u] = static_cast<int32_t>(graph.TweetEdges(u).size());
-  }
-
-  // ---- per-edge explanations + arena support scores ----
-  const int num_edges = graph.num_following();
-  model.edge_src_.resize(num_edges);
-  model.edge_dst_.resize(num_edges);
-  model.edge_x_.resize(num_edges);
-  model.edge_y_.resize(num_edges);
-  model.edge_noise_.resize(num_edges);
-  model.edge_x_support_.assign(num_edges, 0.0);
-  model.edge_y_support_.assign(num_edges, 0.0);
-  model.edge_distance_.assign(num_edges, 0.0);
-  model.edge_index_.reserve(num_edges);
 
   // ϕ_u[city] / ϕ_u total against the stored (compacted) candidate layout:
   // the fraction of u's location-based relationship assignments sitting on
@@ -192,136 +160,123 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
     return total > 0.0 ? sampler.phi[begin + slot] / total : 0.0;
   };
 
+  // ---- pre-rendered JSON bodies ----
+  // The model is immutable, so every answer body is known now: point
+  // queries become substring copies and batch responses a concatenation.
+  // Each helper appends `key` (a literal with its own punctuation), then
+  // the value, to `body` — one entity, which `emit` then appends to its
+  // blob and closes with a CSR offset.
+  const std::vector<std::string> cities = CityFragments(gazetteer);
+  std::string body;
+  auto put_int = [&body](const char* key, int64_t v) {
+    body += key;
+    AppendJsonInt(&body, v);
+  };
+  auto put_double = [&body](const char* key, double v) {
+    body += key;
+    AppendJsonDouble(&body, v);
+  };
+  auto put_city = [&body, &cities](const char* key, geo::CityId id) {
+    body += key;
+    if (id == geo::kInvalidCity) {
+      body += "null";
+    } else {
+      AppendOpenCity(cities, id, &body);
+      body += '}';
+    }
+  };
+  auto emit = [&body](std::vector<char>* blob, std::vector<int64_t>* offsets) {
+    blob->insert(blob->end(), body.begin(), body.end());
+    offsets->push_back(static_cast<int64_t>(blob->size()));
+    body.clear();
+  };
+
+  // Reserved ~10% over typical body sizes (5k-user world: ~100 B per user
+  // + ~64 B per profile entry, ~263 B per edge) so blobs are not regrown.
+  std::vector<char>& users = model.owned_user_json_;
+  users.reserve(static_cast<size_t>(num_users) * 110 +
+                static_cast<size_t>(model.total_profile_entries_) * 70);
+  model.owned_user_offsets_.reserve(num_users + 1);
+  model.owned_user_offsets_.push_back(0);
+  for (graph::UserId u = 0; u < num_users; ++u) {
+    put_int("{\"user\":", u);
+    put_city(",\"home\":", result.home[u]);
+    body += ",\"profile\":[";
+    const auto& entries = result.profiles[u].entries();
+    for (int64_t i = 0, keep = profile_size(u); i < keep; ++i) {
+      if (i > 0) body += ',';
+      AppendOpenCity(cities, entries[i].first, &body);
+      put_double(",\"p\":", entries[i].second);
+      body += '}';
+    }
+    put_int("],\"friends\":", static_cast<int64_t>(graph.OutEdges(u).size()));
+    put_int(",\"followers\":", static_cast<int64_t>(graph.InEdges(u).size()));
+    put_int(",\"tweets\":", static_cast<int64_t>(graph.TweetEdges(u).size()));
+    body += '}';
+    emit(&users, &model.owned_user_offsets_);
+  }
+
+  const int num_edges = graph.num_following();
+  std::vector<char>& edges = model.owned_edge_json_;
+  edges.reserve(static_cast<size_t>(num_edges) * 300);
+  model.owned_edge_offsets_.reserve(num_edges + 1);
+  model.owned_edge_offsets_.push_back(0);
+  std::vector<std::pair<uint64_t, int64_t>> keyed;
+  keyed.reserve(num_edges);
   for (graph::EdgeId s = 0; s < num_edges; ++s) {
     const graph::FollowingEdge& edge = graph.following(s);
     const core::FollowingExplanation& ex = result.following[s];
-    model.edge_src_[s] = edge.follower;
-    model.edge_dst_[s] = edge.friend_user;
-    model.edge_x_[s] = ex.x;
-    model.edge_y_[s] = ex.y;
-    model.edge_noise_[s] = ex.noise_prob;
-    model.edge_x_support_[s] = support(edge.follower, ex.x);
-    model.edge_y_support_[s] = support(edge.friend_user, ex.y);
+    double distance = 0.0;
     if (gazetteer != nullptr && ex.x != geo::kInvalidCity &&
         ex.y != geo::kInvalidCity) {
-      model.edge_distance_[s] = gazetteer->DistanceMiles(ex.x, ex.y);
+      distance = gazetteer->DistanceMiles(ex.x, ex.y);
     }
-    model.edge_index_.emplace(EdgeKey(edge.follower, edge.friend_user), s);
+    put_int("{\"src\":", edge.follower);
+    put_int(",\"dst\":", edge.friend_user);
+    put_int(",\"edge\":", s);
+    put_city(",\"explanation\":{\"x\":", ex.x);
+    put_city(",\"y\":", ex.y);
+    put_double(",\"noise_prob\":", ex.noise_prob);
+    put_double(",\"location_based_prob\":", 1.0 - ex.noise_prob);
+    put_double(",\"x_support\":", support(edge.follower, ex.x));
+    put_double(",\"y_support\":", support(edge.friend_user, ex.y));
+    put_double(",\"distance_miles\":", distance);
+    body += "}}";
+    emit(&edges, &model.owned_edge_offsets_);
+    keyed.emplace_back(EdgeKey(edge.follower, edge.friend_user), s);
   }
 
-  // ---- pre-rendered JSON fragments ----
-  // Rendering is hoisted out of the request path entirely: the model is
-  // immutable, so every answer body is known at build time. Point queries
-  // become substring copies and batch responses a concatenation scan.
-  // Each helper appends `key` (a literal with its own punctuation), then
-  // the value, straight into a blob from the columns above.
-  const std::vector<std::string> cities = CityFragments(gazetteer);
-  auto put_int = [](std::string* out, const char* key, int64_t v) {
-    *out += key;
-    AppendJsonInt(out, v);
-  };
-  auto put_double = [](std::string* out, const char* key, double v) {
-    *out += key;
-    AppendJsonDouble(out, v);
-  };
-  auto put_city = [&cities](std::string* out, const char* key,
-                            geo::CityId id) {
-    *out += key;
-    if (id == geo::kInvalidCity) {
-      *out += "null";
-    } else {
-      AppendOpenCity(cities, id, out);
-      *out += '}';
+  // Sorted key table: FindEdge binary-searches it. Sorting (key, id)
+  // pairs puts a duplicated (src, dst)'s lowest edge id first; that one
+  // is kept.
+  std::sort(keyed.begin(), keyed.end());
+  for (const auto& [key, id] : keyed) {
+    if (!model.owned_edge_keys_.empty() &&
+        model.owned_edge_keys_.back() == key) {
+      continue;
     }
-  };
-  // Reserved ~10% over typical body sizes (5k-user world: ~100 B per user
-  // + ~64 B per profile entry, ~263 B per edge) so blobs are not regrown.
-  std::string& users = model.user_json_;
-  users.reserve(static_cast<size_t>(num_users) * 110 +
-                static_cast<size_t>(model.total_profile_entries_) * 70);
-  model.user_json_offset_.reserve(num_users + 1);
-  model.user_json_offset_.push_back(0);
-  for (graph::UserId u = 0; u < num_users; ++u) {
-    put_int(&users, "{\"user\":", u);
-    put_city(&users, ",\"home\":", model.home_[u]);
-    users += ",\"profile\":[";
-    for (int64_t i = model.profile_offset_[u];
-         i < model.profile_offset_[u + 1]; ++i) {
-      if (i > model.profile_offset_[u]) users += ',';
-      AppendOpenCity(cities, model.entries_[i].city, &users);
-      put_double(&users, ",\"p\":", model.entries_[i].prob);
-      users += '}';
-    }
-    put_int(&users, "],\"friends\":", model.num_friends_[u]);
-    put_int(&users, ",\"followers\":", model.num_followers_[u]);
-    put_int(&users, ",\"tweets\":", model.num_tweets_[u]);
-    users += '}';
-    model.user_json_offset_.push_back(static_cast<int64_t>(users.size()));
-  }
-  std::string& edges = model.edge_json_;
-  edges.reserve(static_cast<size_t>(num_edges) * 300);
-  model.edge_json_offset_.reserve(num_edges + 1);
-  model.edge_json_offset_.push_back(0);
-  for (graph::EdgeId s = 0; s < num_edges; ++s) {
-    put_int(&edges, "{\"src\":", model.edge_src_[s]);
-    put_int(&edges, ",\"dst\":", model.edge_dst_[s]);
-    put_int(&edges, ",\"edge\":", s);
-    put_city(&edges, ",\"explanation\":{\"x\":", model.edge_x_[s]);
-    put_city(&edges, ",\"y\":", model.edge_y_[s]);
-    put_double(&edges, ",\"noise_prob\":", model.edge_noise_[s]);
-    put_double(&edges, ",\"location_based_prob\":",
-               1.0 - model.edge_noise_[s]);
-    put_double(&edges, ",\"x_support\":", model.edge_x_support_[s]);
-    put_double(&edges, ",\"y_support\":", model.edge_y_support_[s]);
-    put_double(&edges, ",\"distance_miles\":", model.edge_distance_[s]);
-    edges += "}}";
-    model.edge_json_offset_.push_back(static_cast<int64_t>(edges.size()));
+    model.owned_edge_keys_.push_back(key);
+    model.owned_edge_ids_.push_back(id);
   }
 
+  model.num_users_ = num_users;
+  model.num_edges_ = num_edges;
+  model.num_edge_keys_ = static_cast<int64_t>(model.owned_edge_keys_.size());
+  model.user_offsets_ = model.owned_user_offsets_.data();
+  model.edge_offsets_ = model.owned_edge_offsets_.data();
+  model.edge_keys_ = model.owned_edge_keys_.data();
+  model.edge_ids_ = model.owned_edge_ids_.data();
+  model.user_json_ = std::string_view(users.data(), users.size());
+  model.edge_json_ = std::string_view(edges.data(), edges.size());
   return model;
-}
-
-bool ReadModel::GetUser(graph::UserId u, UserAnswer* out) const {
-  if (mmap_backed_ || u < 0 || u >= num_users()) return false;
-  out->user = u;
-  out->home = home_[u];
-  out->entries = entries_.data() + profile_offset_[u];
-  out->entry_count = static_cast<int>(profile_offset_[u + 1] - profile_offset_[u]);
-  out->num_friends = num_friends_[u];
-  out->num_followers = num_followers_[u];
-  out->num_tweets = num_tweets_[u];
-  return true;
 }
 
 graph::EdgeId ReadModel::FindEdge(graph::UserId src, graph::UserId dst) const {
   const uint64_t key = EdgeKey(src, dst);
-  if (mmap_backed_) {
-    const uint64_t* end = map_edge_keys_ + map_num_edge_keys_;
-    const uint64_t* it = std::lower_bound(map_edge_keys_, end, key);
-    if (it == end || *it != key) return -1;
-    return static_cast<graph::EdgeId>(map_edge_ids_[it - map_edge_keys_]);
-  }
-  auto it = edge_index_.find(key);
-  return it == edge_index_.end() ? -1 : it->second;
-}
-
-bool ReadModel::GetEdgeById(graph::EdgeId s, EdgeAnswer* out) const {
-  if (mmap_backed_ || s < 0 || s >= num_edges()) return false;
-  out->src = edge_src_[s];
-  out->dst = edge_dst_[s];
-  out->edge = s;
-  out->x = edge_x_[s];
-  out->y = edge_y_[s];
-  out->noise_prob = edge_noise_[s];
-  out->x_support = edge_x_support_[s];
-  out->y_support = edge_y_support_[s];
-  out->distance_miles = edge_distance_[s];
-  return true;
-}
-
-bool ReadModel::GetEdge(graph::UserId src, graph::UserId dst,
-                        EdgeAnswer* out) const {
-  return GetEdgeById(FindEdge(src, dst), out);
+  const uint64_t* end = edge_keys_ + num_edge_keys_;
+  const uint64_t* it = std::lower_bound(edge_keys_, end, key);
+  if (it == end || *it != key) return -1;
+  return static_cast<graph::EdgeId>(edge_ids_[it - edge_keys_]);
 }
 
 double ReadModel::mean_profile_entries() const {
@@ -330,42 +285,21 @@ double ReadModel::mean_profile_entries() const {
 }
 
 bool ReadModel::ExampleEdge(graph::UserId* src, graph::UserId* dst) const {
-  if (mmap_backed_) {
-    if (map_num_edge_keys_ == 0) return false;
-    const uint64_t key = map_edge_keys_[0];
-    *src = static_cast<graph::UserId>(key >> 32);
-    *dst = static_cast<graph::UserId>(static_cast<uint32_t>(key));
-    return true;
-  }
-  if (edge_src_.empty()) return false;
-  *src = edge_src_[0];
-  *dst = edge_dst_[0];
+  if (num_edge_keys_ == 0) return false;
+  *src = static_cast<graph::UserId>(edge_keys_[0] >> 32);
+  *dst = static_cast<graph::UserId>(static_cast<uint32_t>(edge_keys_[0]));
   return true;
 }
 
 int64_t ReadModel::AccountedBytes() const {
   using core::VectorBytes;
-  // Hash index: bucket array plus one heap node per entry (key/value pair
-  // + libstdc++'s next pointer and cached hash).
-  const int64_t index_bytes =
-      static_cast<int64_t>(edge_index_.bucket_count()) * sizeof(void*) +
-      static_cast<int64_t>(edge_index_.size()) *
-          (sizeof(std::pair<uint64_t, graph::EdgeId>) + 2 * sizeof(void*));
-  return VectorBytes(profile_offset_) + VectorBytes(entries_) +
-         VectorBytes(home_) + VectorBytes(num_friends_) +
-         VectorBytes(num_followers_) + VectorBytes(num_tweets_) +
-         VectorBytes(edge_src_) + VectorBytes(edge_dst_) +
-         VectorBytes(edge_x_) + VectorBytes(edge_y_) +
-         VectorBytes(edge_noise_) + VectorBytes(edge_x_support_) +
-         VectorBytes(edge_y_support_) + VectorBytes(edge_distance_) +
-         index_bytes + static_cast<int64_t>(user_json_.capacity()) +
-         static_cast<int64_t>(user_json_offset_.capacity() * sizeof(int64_t)) +
-         static_cast<int64_t>(edge_json_.capacity()) +
-         static_cast<int64_t>(edge_json_offset_.capacity() * sizeof(int64_t));
+  return VectorBytes(owned_user_json_) + VectorBytes(owned_edge_json_) +
+         VectorBytes(owned_user_offsets_) + VectorBytes(owned_edge_offsets_) +
+         VectorBytes(owned_edge_keys_) + VectorBytes(owned_edge_ids_);
 }
 
 Status ReadModel::AppendServeSection(const std::string& snapshot_path) const {
-  if (mmap_backed_) {
+  if (mmap_backed()) {
     return Status::FailedPrecondition(
         "cannot re-pack from an mmap-backed model — build from the snapshot");
   }
@@ -400,17 +334,6 @@ Status ReadModel::AppendServeSection(const std::string& snapshot_path) const {
                            ec.message());
   }
 
-  // Sorted key table: binary search in the mapped model replaces the hash
-  // index. Duplicate (src,dst) edges resolve to the same id the hash map
-  // holds (the first inserted), so lookups agree between backings.
-  std::vector<uint64_t> keys;
-  keys.reserve(edge_index_.size());
-  for (const auto& [key, id] : edge_index_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  std::vector<int64_t> ids;
-  ids.reserve(keys.size());
-  for (uint64_t key : keys) ids.push_back(edge_index_.at(key));
-
   const uint64_t section_start = AlignUp(core_end, kServeAlign);
   uint64_t cursor = section_start + kServeHeaderBytes;
   auto place = [&cursor](uint64_t bytes) {
@@ -419,12 +342,13 @@ Status ReadModel::AppendServeSection(const std::string& snapshot_path) const {
     cursor += bytes;
     return offset;
   };
-  const uint64_t num_users_u64 = static_cast<uint64_t>(num_users());
-  const uint64_t num_edges_u64 = static_cast<uint64_t>(num_edges());
+  const uint64_t num_users_u64 = static_cast<uint64_t>(num_users_);
+  const uint64_t num_edges_u64 = static_cast<uint64_t>(num_edges_);
+  const uint64_t num_keys_u64 = static_cast<uint64_t>(num_edge_keys_);
   const uint64_t user_offsets_off = place((num_users_u64 + 1) * 8);
   const uint64_t edge_offsets_off = place((num_edges_u64 + 1) * 8);
-  const uint64_t edge_keys_off = place(keys.size() * 8);
-  const uint64_t edge_ids_off = place(ids.size() * 8);
+  const uint64_t edge_keys_off = place(num_keys_u64 * 8);
+  const uint64_t edge_ids_off = place(num_keys_u64 * 8);
   const uint64_t user_json_off = place(user_json_.size());
   const uint64_t edge_json_off = place(edge_json_.size());
   const uint64_t file_size = cursor;
@@ -432,7 +356,7 @@ Status ReadModel::AppendServeSection(const std::string& snapshot_path) const {
   uint64_t fields[18] = {};
   fields[kFieldNumUsers] = num_users_u64;
   fields[kFieldNumEdges] = num_edges_u64;
-  fields[kFieldNumEdgeKeys] = keys.size();
+  fields[kFieldNumEdgeKeys] = num_keys_u64;
   fields[kFieldTotalProfileEntries] =
       static_cast<uint64_t>(total_profile_entries_);
   std::memcpy(&fields[kFieldAlpha], &alpha_, sizeof(double));
@@ -485,13 +409,13 @@ Status ReadModel::AppendServeSection(const std::string& snapshot_path) const {
   pad_to(section_start);
   write_bytes(header.data(), header.size());
   pad_to(user_offsets_off);
-  write_bytes(user_json_offset_.data(), (num_users_u64 + 1) * 8);
+  write_bytes(user_offsets_, (num_users_u64 + 1) * 8);
   pad_to(edge_offsets_off);
-  write_bytes(edge_json_offset_.data(), (num_edges_u64 + 1) * 8);
+  write_bytes(edge_offsets_, (num_edges_u64 + 1) * 8);
   pad_to(edge_keys_off);
-  write_bytes(keys.data(), keys.size() * 8);
+  write_bytes(edge_keys_, num_keys_u64 * 8);
   pad_to(edge_ids_off);
-  write_bytes(ids.data(), ids.size() * 8);
+  write_bytes(edge_ids_, num_keys_u64 * 8);
   pad_to(user_json_off);
   write_bytes(user_json_.data(), user_json_.size());
   pad_to(edge_json_off);
@@ -575,10 +499,9 @@ Result<ReadModel> ReadModel::MapServeSection(const std::string& snapshot_path,
 
   ReadModel model;
   model.gazetteer_ = gazetteer;
-  model.mmap_backed_ = true;
-  model.map_num_users_ = static_cast<int64_t>(num_users);
-  model.map_num_edges_ = static_cast<int64_t>(num_edges);
-  model.map_num_edge_keys_ = static_cast<int64_t>(num_keys);
+  model.num_users_ = static_cast<int64_t>(num_users);
+  model.num_edges_ = static_cast<int64_t>(num_edges);
+  model.num_edge_keys_ = static_cast<int64_t>(num_keys);
   model.total_profile_entries_ =
       static_cast<int64_t>(field(kFieldTotalProfileEntries));
   model.alpha_ = ReadF64(section + kServeChecksumStart + kFieldAlpha * 8);
@@ -586,25 +509,26 @@ Result<ReadModel> ReadModel::MapServeSection(const std::string& snapshot_path,
   model.layout_version_ = field(kFieldLayoutVersion);
   model.active_slots_ = static_cast<int64_t>(field(kFieldActiveSlots));
   model.fit_complete_ = field(kFieldFitComplete) != 0;
-  model.map_user_json_offset_ =
+  model.user_offsets_ =
       reinterpret_cast<const int64_t*>(data + field(kFieldUserOffsetsOff));
-  model.map_edge_json_offset_ =
+  model.edge_offsets_ =
       reinterpret_cast<const int64_t*>(data + field(kFieldEdgeOffsetsOff));
-  model.map_edge_keys_ =
+  model.edge_keys_ =
       reinterpret_cast<const uint64_t*>(data + field(kFieldEdgeKeysOff));
-  model.map_edge_ids_ =
+  model.edge_ids_ =
       reinterpret_cast<const int64_t*>(data + field(kFieldEdgeIdsOff));
-  model.map_user_json_ = std::string_view(
+  model.user_json_ = std::string_view(
       reinterpret_cast<const char*>(data + field(kFieldUserJsonOff)),
       field(kFieldUserJsonSize));
-  model.map_edge_json_ = std::string_view(
+  model.edge_json_ = std::string_view(
       reinterpret_cast<const char*>(data + field(kFieldEdgeJsonOff)),
       field(kFieldEdgeJsonSize));
   // Cheap coherence probe (touches two pages): the CSR ends must agree
-  // with the blob sizes the header promises.
-  if (model.map_user_json_offset_[num_users] !=
+  // with the blob sizes the header promises. Interior offsets are checked
+  // per lookup, by Slice().
+  if (model.user_offsets_[num_users] !=
           static_cast<int64_t>(field(kFieldUserJsonSize)) ||
-      model.map_edge_json_offset_[num_edges] !=
+      model.edge_offsets_[num_edges] !=
           static_cast<int64_t>(field(kFieldEdgeJsonSize))) {
     return Status::IOError("serve section offsets disagree with blobs: " +
                            snapshot_path);

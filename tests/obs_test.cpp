@@ -340,9 +340,9 @@ TEST(RequestTraceTest, StageAccumulationAndDefaults) {
 TEST(RequestTraceTest, StageTimerRecordsElapsedAndToleratesNull) {
   RequestTrace trace;
   {
-    RequestTrace::StageTimer timer(&trace, RequestStage::kCacheLookup);
+    RequestTrace::StageTimer timer(&trace, RequestStage::kRender);
   }
-  EXPECT_GT(trace.stage_ns(RequestStage::kCacheLookup), 0);
+  EXPECT_GT(trace.stage_ns(RequestStage::kRender), 0);
   {
     RequestTrace::StageTimer timer(nullptr, RequestStage::kRender);
   }  // must not crash
@@ -381,8 +381,7 @@ TEST(RequestTraceTest, RebaseStartMovesTheClockBack) {
 
 TEST(RequestTraceTest, StageNamesAndCounterNamesAlign) {
   EXPECT_STREQ(RequestStageName(RequestStage::kParse), "parse");
-  EXPECT_STREQ(RequestStageName(RequestStage::kBatchQueueWait),
-               "batch_queue_wait");
+  EXPECT_STREQ(RequestStageName(RequestStage::kRender), "render");
   EXPECT_STREQ(RequestStageCounterName(RequestStage::kParse),
                kServeStageParseNs);
   EXPECT_STREQ(RequestStageCounterName(RequestStage::kWrite),

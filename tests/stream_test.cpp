@@ -427,8 +427,8 @@ TEST(SwapReadModelTest, PublishesIngestedViewAtomically) {
   request.target = "/v1/user/0";
   serve::HttpResponse after = server.Handle(request);
   EXPECT_EQ(after.status, 200);
-  // Generation-keyed cache: the pre-swap cached body cannot leak into the
-  // post-swap view; the fresh body renders from the new model.
+  // Served from the newly published model: the post-swap body is the new
+  // model's pre-rendered bytes, not the pre-swap model's.
   EXPECT_EQ(after.body, std::string(server.model()->UserJson(0)));
 
   request.target = "/statsz";

@@ -50,7 +50,7 @@
 //       to the merged world, also written as merged CSVs under
 //       --save-data when given) is saved as an ordinary v2 snapshot.
 //   mlpctl serve --data DIR --load MODEL.snap [--port N] [--threads K]
-//                [--cache_mb M] [--top_k T] [--selfcheck]
+//                [--top_k T] [--selfcheck]
 //                [--spool DIR [--spool_poll_ms N]
 //                 [--checkpoint_every K] [--save MODEL2.snap]]
 //                — or, out-of-core over a packed snapshot:
@@ -264,13 +264,13 @@ const std::map<std::string, std::string>& UsageTexts() {
        "             [--resample-burn N] [--resample-sampling N]\n"},
       {"serve",
        "  mlpctl serve --data DIR --load MODEL.snap [--port N]\n"
-       "             [--threads K] [--cache_mb M] [--top_k T]\n"
+       "             [--threads K] [--top_k T]\n"
        "             [--access_log[=FILE]] [--slow_request_us N]\n"
        "             [--selfcheck]\n"
        "             [--spool DIR [--spool_poll_ms N]\n"
        "              [--checkpoint_every K] [--save MODEL2.snap]]\n"
        "  mlpctl serve --load MODEL.snap --mmap [--port N]\n"
-       "             [--threads K] [--cache_mb M] [--selfcheck]\n"
+       "             [--threads K] [--selfcheck]\n"
        "             [--access_log[=FILE]] [--slow_request_us N]\n"},
       {"probe",
        "  mlpctl probe --port N [--host H] [--target /path]\n"
@@ -967,7 +967,7 @@ int RunSelfcheck(const serve::ModelServer& server,
 
   // Prometheus exposition: must carry the request-latency histogram (with
   // cumulative le="..." buckets — earlier requests in this selfcheck have
-  // already recorded into it) and the cache counters.
+  // already recorded into it) and the request counter.
   Result<serve::HttpResponse> metrics =
       serve::HttpFetch("127.0.0.1", port, "GET", "/metricsz");
   check("/metricsz (prometheus)",
@@ -979,14 +979,13 @@ int RunSelfcheck(const serve::ModelServer& server,
                 std::string::npos &&
             metrics->body.find("serve_request_latency_us_count") !=
                 std::string::npos &&
-            metrics->body.find("# TYPE serve_cache_hits counter") !=
-                std::string::npos &&
-            metrics->body.find("serve_requests_total") != std::string::npos);
+            metrics->body.find("# TYPE serve_requests_total counter") !=
+                std::string::npos);
 
   // Per-endpoint latency histograms + fit gauges land on the same scrape.
   check("/metricsz (request stages)",
         metrics.ok() &&
-            metrics->body.find("serve_user_miss_latency_us") !=
+            metrics->body.find("serve_user_latency_us") !=
                 std::string::npos &&
             metrics->body.find("serve_stage_render_ns") !=
                 std::string::npos &&
@@ -1190,7 +1189,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   // Ephemeral port under --selfcheck so smoke runs never collide.
   options.port = numeric.Int("port", selfcheck ? 0 : 8080);
   options.threads = std::max(1, numeric.Int("threads", 4));
-  options.cache_mb = std::max(0, numeric.Int("cache_mb", 16));
   options.top_k = numeric.Int("top_k", 10);
   options.slow_request_us = numeric.Integer("slow_request_us", 10000);
 
@@ -1255,9 +1253,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     }
     std::printf(
         "serving %d users / %d edges (mmap-backed) on http://127.0.0.1:%d "
-        "(threads=%d cache=%dMB)\n",
+        "(threads=%d)\n",
         server.model()->num_users(), server.model()->num_edges(),
-        server.port(), options.threads, options.cache_mb);
+        server.port(), options.threads);
     if (selfcheck) {
       int rc = RunSelfcheckMmap(server);
       server.Stop();
@@ -1298,9 +1296,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   PrintFitSummary(snapshot->checkpoint, snapshot->result);
   std::printf(
       "serving %d users / %d edges on http://127.0.0.1:%d "
-      "(threads=%d cache=%dMB top_k=%d)\n",
+      "(threads=%d top_k=%d)\n",
       server.model()->num_users(), server.model()->num_edges(), server.port(),
-      options.threads, options.cache_mb, options.top_k);
+      options.threads, options.top_k);
 
   // Live ingest daemon: attach the spool watcher before entering the serve
   // loop. Start() validates the spool synchronously, so a typo'd or
