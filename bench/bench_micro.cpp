@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: geo math, alias
 // sampling, the d^alpha table, venue extraction, power-law fitting, full
-// Gibbs sweeps, and the serve-section render (one double, one 5k-user
-// ReadModel::Build). After the benchmark suite, main() runs the
-// observability overhead guard: instrumented (obs enabled) vs.
-// short-circuited (obs disabled) sweeps must agree within 2% — the
-// src/obs/ overhead budget, enforced here so a regression fails the bench
-// job instead of silently taxing every fit.
+// Gibbs sweeps (exact, and a two-worker alias-MH engine sweep), and the
+// serve-section render (one double, one 5k-user ReadModel::Build). After
+// the benchmark suite, main() runs the observability overhead guard:
+// instrumented (obs enabled) vs. short-circuited (obs disabled) sweeps must
+// agree within 2% — the src/obs/ overhead budget, enforced here so a
+// regression fails the bench job instead of silently taxing every fit.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/model.h"
 #include "core/pair_distance.h"
@@ -24,6 +25,7 @@
 #include "core/priors.h"
 #include "core/random_models.h"
 #include "core/sampler.h"
+#include "engine/parallel_gibbs.h"
 #include "eval/cross_validation.h"
 #include "geo/gazetteer.h"
 #include "geo/grid_index.h"
@@ -177,6 +179,55 @@ void BM_GibbsSweep(benchmark::State& state) {
                            world.graph->num_tweeting()));
 }
 BENCHMARK(BM_GibbsSweep)->Unit(benchmark::kMillisecond);
+
+/// One W=2 ParallelGibbsEngine::RunSweep on the 5k-user paper world: the
+/// alias-MH kernel plus the per-sweep proposal rebuild, fold and merge that
+/// a two-worker fit pays. Rate counters use wall-clock time, since the
+/// workers, not the calling thread, do the work.
+void BM_EngineSweepW2(benchmark::State& state) {
+  static synth::WorldConfig world_config = [] {
+    synth::WorldConfig config = bench::BenchWorldConfig();
+    config.num_users = 5000;
+    return config;
+  }();
+  static auto world =
+      std::move(synth::GenerateWorld(world_config).ValueOrDie());
+  static auto referents = world.vocab->ReferentTable();
+  static core::ModelInput input = [] {
+    core::ModelInput in;
+    in.gazetteer = world.gazetteer.get();
+    in.graph = world.graph.get();
+    in.distances = world.distances.get();
+    in.venue_referents = &referents;
+    in.observed_home = eval::RegisteredHomes(*world.graph);
+    return in;
+  }();
+  static core::MlpConfig model_config = [] {
+    core::MlpConfig config = bench::BenchMlpConfig();
+    config.num_threads = 2;
+    return config;
+  }();
+  core::CandidateSpace space = core::CandidateSpace::Build(input, model_config);
+  const core::RandomModels random_models =
+      core::RandomModels::Learn(*world.graph);
+  const core::PowTable pow_table(world.distances.get(), model_config.alpha);
+  core::GibbsSampler sampler(&input, &model_config, &space, &random_models,
+                             &pow_table);
+  engine::ParallelGibbsEngine engine(&sampler, &input, &model_config, &space);
+  Pcg32 rng(model_config.seed);
+  engine.Initialize(&rng);
+  engine.RunSweep(&rng);  // warm: replicas, proposal rows, pool threads
+  for (auto _ : state) {
+    engine.RunSweep(&rng);
+    benchmark::DoNotOptimize(sampler.stats().phi.data());
+  }
+  const double relationships = static_cast<double>(
+      world.graph->num_following() + world.graph->num_tweeting());
+  state.counters["relationships_per_s"] = benchmark::Counter(
+      relationships * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EngineSweepW2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One served double: the posterior-shaped values the read model renders
 /// (count ratios, uniform probabilities, exp(-x) tails), cycled.

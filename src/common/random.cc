@@ -12,33 +12,8 @@ Pcg32::Pcg32(uint64_t seed, uint64_t stream) : state_(0), inc_((stream << 1u) | 
   NextU32();
 }
 
-uint32_t Pcg32::NextU32() {
-  uint64_t oldstate = state_;
-  state_ = oldstate * 6364136223846793005ULL + inc_;
-  uint32_t xorshifted =
-      static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
-}
-
-uint64_t Pcg32::NextU64() {
-  uint64_t hi = NextU32();
-  return (hi << 32) | NextU32();
-}
-
-double Pcg32::NextDouble() {
-  // 53 random bits into the mantissa for a uniform double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint32_t Pcg32::UniformU32(uint32_t bound) {
-  MLP_CHECK(bound > 0);
-  // Lemire's unbiased rejection method.
-  uint32_t threshold = (-bound) % bound;
-  for (;;) {
-    uint32_t r = NextU32();
-    if (r >= threshold) return r % bound;
-  }
+void Pcg32::ZeroBoundFailed() {
+  internal::CheckFailed("bound > 0", __FILE__, __LINE__);
 }
 
 int Pcg32::UniformInt(int lo, int hi) {
@@ -50,12 +25,6 @@ int Pcg32::UniformInt(int lo, int hi) {
 
 double Pcg32::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
-}
-
-bool Pcg32::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Pcg32::Normal(double mean, double stddev) {

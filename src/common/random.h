@@ -35,16 +35,41 @@ class Pcg32 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return 0xffffffffu; }
 
+  // The draws the samplers' inner loops make (NextU32, NextU64,
+  // NextDouble, UniformU32, Bernoulli) are defined inline here, so an
+  // alias-MH proposal pays no call per draw.
+
   /// Next raw 32-bit draw.
   uint32_t operator()() { return NextU32(); }
-  uint32_t NextU32();
-  uint64_t NextU64();
+  uint32_t NextU32() {
+    const uint64_t oldstate = state_;
+    state_ = oldstate * 6364136223846793005ULL + inc_;
+    const uint32_t xorshifted =
+        static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
+    const uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
+  }
+  uint64_t NextU64() {
+    const uint64_t hi = NextU32();
+    return (hi << 32) | NextU32();
+  }
 
   /// Uniform in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 random bits into the mantissa for a uniform double in [0, 1).
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) without modulo bias. bound must be > 0.
-  uint32_t UniformU32(uint32_t bound);
+  uint32_t UniformU32(uint32_t bound) {
+    if (bound == 0) ZeroBoundFailed();
+    // Lemire's unbiased rejection method.
+    const uint32_t threshold = (-bound) % bound;
+    for (;;) {
+      const uint32_t r = NextU32();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   int UniformInt(int lo, int hi);
@@ -53,7 +78,11 @@ class Pcg32 {
   double UniformDouble(double lo, double hi);
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Standard normal via Box–Muller.
   double Normal(double mean = 0.0, double stddev = 1.0);
@@ -96,6 +125,10 @@ class Pcg32 {
   void RestoreState(const Pcg32State& state);
 
  private:
+  /// UniformU32's `bound > 0` check failure, kept out of line and cold so
+  /// the inlined draw carries only a compare and a branch.
+  [[noreturn]] [[gnu::cold]] static void ZeroBoundFailed();
+
   uint64_t state_;
   uint64_t inc_;
   bool has_cached_normal_ = false;

@@ -241,28 +241,38 @@ Status CandidateSpace::RestoreActivation(
 void ProposalTables::Bind(const CandidateSpace* space) {
   space_ = space;
   layout_version_ = space->layout_version();
-  const size_t size = static_cast<size_t>(space->layout().phi_size());
-  prob_.resize(size);
-  alias_.resize(size);
-  w_.resize(size);
+  records_.resize(static_cast<size_t>(space->layout().phi_size()));
 }
 
 void ProposalTables::RebuildRange(const SuffStatsArena& arena,
                                   graph::UserId u_begin, graph::UserId u_end,
-                                  stats::AliasBuildScratch* scratch) {
+                                  ProposalBuildScratch* scratch) {
   const SuffStatsLayout& layout = space_->layout();
   for (graph::UserId u = u_begin; u < u_end; ++u) {
     const CandidateView& view = space_->view(u);
     const int64_t off = layout.phi_offset[u];
-    const int n = view.count;
-    const double* phi_u = arena.phi.data() + off;
-    double* w_u = w_.data() + off;
-    for (int l = 0; l < n; ++l) {
-      const double w = phi_u[l] + view.gamma[l];
-      w_u[l] = w > 0.0 ? w : 0.0;
-    }
-    stats::AliasTable::BuildInto(w_u, n, prob_.data() + off,
-                                 alias_.data() + off, scratch);
+    FillRow(arena.phi.data() + off, view.gamma, view.candidates, view.count,
+            records_.data() + off, scratch);
+  }
+}
+
+void ProposalTables::FillRow(const double* phi_u, const double* gamma,
+                             const geo::CityId* candidates, int n,
+                             ProposalRecord* out,
+                             ProposalBuildScratch* scratch) {
+  scratch->w.resize(n);
+  scratch->prob.resize(n);
+  scratch->alias.resize(n);
+  double* w = scratch->w.data();
+  for (int l = 0; l < n; ++l) {
+    const double t = phi_u[l] + gamma[l];
+    w[l] = t > 0.0 ? t : 0.0;
+  }
+  stats::AliasTable::BuildInto(w, n, scratch->prob.data(),
+                               scratch->alias.data(), &scratch->alias_work);
+  for (int l = 0; l < n; ++l) {
+    out[l] = ProposalRecord{scratch->prob[l], w[l], gamma[l],
+                            scratch->alias[l], candidates[l]};
   }
 }
 

@@ -187,18 +187,47 @@ class CandidateSpace {
   std::vector<CandidateView> views_;
 };
 
+/// One candidate slot's read-only alias-MH data, packed so a proposal
+/// touches one record instead of five parallel arrays: the alias bucket
+/// (`prob`, `alias`) the draw lands in, and the accept test's stale weight
+/// `w`, prior `gamma` and candidate `city` for the slot it proposes.
+/// 32 bytes — two records per 64-byte cache line.
+struct ProposalRecord {
+  double prob;     // alias acceptance probability of this bucket
+  double w;        // stale weight max(0, ϕ+γ) the row was built from
+  double gamma;    // active-view γ of this slot (CandidateView::gamma)
+  int32_t alias;   // alias slot of this bucket
+  geo::CityId city;  // candidate city of this slot (CandidateView::candidates)
+};
+static_assert(sizeof(ProposalRecord) == 32,
+              "two proposal records per 64-byte cache line");
+
+/// Row buffers for ProposalTables::FillRow: the stale weights and alias
+/// buckets are built contiguously here, then scattered into the records.
+/// One per rebuilding thread, so rows allocate once per epoch, not per user.
+struct ProposalBuildScratch {
+  std::vector<double> w;
+  std::vector<double> prob;
+  std::vector<int32_t> alias;
+  stats::AliasBuildScratch alias_work;
+};
+
 /// Per-user O(1) proposal draws for the parallel engine's alias-MH fast
 /// kernels (GibbsSampler::Sample*EdgeFast): one Walker alias table per
-/// ACTIVE candidate row, all stored flat over the space's layout, built
-/// from epoch-stale θ̃ weights (ϕ + γ at the last merged sync barrier).
+/// ACTIVE candidate row, built from epoch-stale θ̃ weights (ϕ + γ at the
+/// last merged sync barrier) and stored as one flat ProposalRecord array
+/// laid out like the arena (`layout.phi_offset`), so a user's row is
+/// `row(u)[0..count)`.
 ///
-/// The stored per-slot weight `Weight(u, slot)` is exposed alongside the
-/// draw so the Metropolis–Hastings acceptance ratio can correct the
-/// staleness exactly: proposals are drawn from the stale distribution, the
-/// target uses live replica counts, and α = min(1, t(l')·ŵ(l) /
-/// (t(l)·ŵ(l'))) keeps the chain's stationary distribution exact for the
-/// current counts. γ > 0 on every active slot (BuildPriors floors it at
-/// config.tau), so the stale proposal's support always covers the target's.
+/// Each record carries the stale weight next to its alias bucket so the
+/// Metropolis–Hastings acceptance ratio can correct the staleness exactly:
+/// proposals are drawn from the stale distribution, the target uses live
+/// replica counts, and α = min(1, t(l')·ŵ(l) / (t(l)·ŵ(l'))) keeps the
+/// chain's stationary distribution exact for the current counts. γ > 0 on
+/// every active slot (BuildPriors floors it at config.tau), so the stale
+/// proposal's support always covers the target's. The record's `gamma` and
+/// `city` are copies of the active view, valid for the layout the row was
+/// built against.
 ///
 /// Epoch-rebuild invariants (see src/engine/README.md): the engine rebuilds
 /// every row at each merged sync barrier, after every compaction (the
@@ -207,43 +236,46 @@ class CandidateSpace {
 /// with no writer.
 class ProposalTables {
  public:
-  /// (Re)binds to the space's current active layout and sizes the flat
-  /// buffers. Rows hold garbage until RebuildRange covers them.
+  /// (Re)binds to the space's current active layout and sizes the record
+  /// array. Rows hold garbage until RebuildRange covers them.
   void Bind(const CandidateSpace* space);
 
   bool bound() const { return space_ != nullptr; }
   uint64_t layout_version() const { return layout_version_; }
 
   /// Rebuilds users [u_begin, u_end) from the merged counts in `arena`.
-  /// Weights are ϕ + γ clamped at zero (deferred-sync folds can leave a
-  /// replica transiently below a stale global row; see the engine README).
   void RebuildRange(const SuffStatsArena& arena, graph::UserId u_begin,
-                    graph::UserId u_end, stats::AliasBuildScratch* scratch);
+                    graph::UserId u_end, ProposalBuildScratch* scratch);
 
-  /// One O(1) draw of an active slot of user `u` from the stale θ̃ row.
-  int Sample(graph::UserId u, Pcg32* rng) const {
-    const int64_t off = space_->layout().phi_offset[u];
-    const int n = space_->layout().candidate_count(u);
-    if (n <= 1) return 0;
-    return stats::AliasTable::SampleFrom(prob_.data() + off,
-                                         alias_.data() + off, n, rng);
+  /// Fills one row of `n` records from live counts `phi_u` and the active
+  /// view's `gamma`/`candidates`. Weights are ϕ + γ clamped at zero
+  /// (deferred-sync folds can leave a replica transiently below a stale
+  /// global row; see the engine README); the alias buckets are
+  /// AliasTable::BuildInto's over those weights.
+  static void FillRow(const double* phi_u, const double* gamma,
+                      const geo::CityId* candidates, int n,
+                      ProposalRecord* out, ProposalBuildScratch* scratch);
+
+  /// One O(1) alias draw of a slot from a row of `n` ≥ 1 records: a bucket
+  /// pick, then its acceptance test — the same two draws, in the same
+  /// order, as stats::AliasTable::SampleFrom.
+  static int Draw(const ProposalRecord* row, int n, Pcg32* rng) {
+    const int bucket =
+        static_cast<int>(rng->UniformU32(static_cast<uint32_t>(n)));
+    return rng->NextDouble() < row[bucket].prob ? bucket : row[bucket].alias;
   }
 
-  /// The stale weight the row was built from (unnormalized within the row).
-  double Weight(graph::UserId u, int slot) const {
-    return w_[space_->layout().phi_offset[u] + slot];
+  /// User `u`'s row: `layout.candidate_count(u)` records.
+  const ProposalRecord* row(graph::UserId u) const {
+    return records_.data() + space_->layout().phi_offset[u];
   }
 
-  int64_t AccountedBytes() const {
-    return VectorBytes(prob_) + VectorBytes(alias_) + VectorBytes(w_);
-  }
+  int64_t AccountedBytes() const { return VectorBytes(records_); }
 
  private:
   const CandidateSpace* space_ = nullptr;
   uint64_t layout_version_ = 0;
-  std::vector<double> prob_;     // flat, layout.phi_size()
-  std::vector<int32_t> alias_;   // flat, layout.phi_size()
-  std::vector<double> w_;        // flat: the stale weights themselves
+  std::vector<ProposalRecord> records_;  // flat, layout.phi_size()
 };
 
 }  // namespace core

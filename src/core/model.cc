@@ -253,6 +253,8 @@ Result<MlpResult> MlpModel::Fit(const ModelInput& input,
       registry.GetGauge(obs::kMemFitBudgetBytes);
   obs::Counter* const budget_tighten_total =
       registry.GetCounter(obs::kFitBudgetTightenTotal);
+  obs::Counter* const accumulate_ns =
+      registry.GetCounter(obs::kFitAccumulateNs);
   const int64_t mem_budget_bytes =
       static_cast<int64_t>(std::max(0, opts.mem_budget_mb)) * 1024 * 1024;
   budget_bytes_gauge->Set(mem_budget_bytes);
@@ -317,7 +319,10 @@ Result<MlpResult> MlpModel::Fit(const ModelInput& input,
       // Accumulation reads the global counts, so any pending replica
       // deltas must land first (no-op at sync_every_sweeps == 1).
       engine.Synchronize();
-      sampler.AccumulateSample();
+      {
+        obs::ScopedSpan span(accumulate_ns, "accumulate");
+        sampler.AccumulateSample();
+      }
       ++progress.sampling_done;
     }
     if (budget_hit) break;

@@ -269,28 +269,28 @@ void GibbsSampler::SampleTweetingEdge(graph::EdgeId k, SuffStatsArena* stats,
   }
 }
 
-int GibbsSampler::MhResampleSlot(graph::UserId u, const CandidateView& view,
+int GibbsSampler::MhResampleSlot(const ProposalRecord* row, int n,
                                  const double* phi_u, int cur,
-                                 geo::CityId anchor,
-                                 const ProposalTables& proposals,
-                                 Pcg32* rng, GibbsScratch* scratch) const {
-  const int n = view.count;
+                                 geo::CityId anchor, Pcg32* rng,
+                                 GibbsScratch* scratch) const {
   if (n <= 1) return 0;
   auto target = [&](int l) {
-    double t = phi_u[l] + view.gamma[l];
+    double t = phi_u[l] + row[l].gamma;
     if (t < 0.0) t = 0.0;  // deferred-sync transient; see engine README
     if (anchor != geo::kInvalidCity) {
-      t *= pow_table_->Get(view.candidates[l], anchor);
+      t *= pow_table_->Get(row[l].city, anchor);
     }
     return t;
   };
   double t_cur = target(cur);
+  double w_cur = row[cur].w;
   for (int round = 0; round < kMhRounds; ++round) {
-    const int prop = proposals.Sample(u, rng);
+    const int prop = ProposalTables::Draw(row, n, rng);
     if (prop == cur) continue;
     const double t_prop = target(prop);
-    const double num = t_prop * proposals.Weight(u, cur);
-    const double den = t_cur * proposals.Weight(u, prop);
+    const double w_prop = row[prop].w;
+    const double num = t_prop * w_cur;
+    const double den = t_cur * w_prop;
     // Accept with min(1, num/den); a zero-mass current state always moves
     // to any positive-mass proposal.
     const bool accept =
@@ -304,33 +304,33 @@ int GibbsSampler::MhResampleSlot(graph::UserId u, const CandidateView& view,
     if (accept) {
       cur = prop;
       t_cur = t_prop;
+      w_cur = w_prop;
     }
   }
   return cur;
 }
 
-int GibbsSampler::MhResampleSlotVenue(graph::UserId u,
-                                      const CandidateView& view,
+int GibbsSampler::MhResampleSlotVenue(const ProposalRecord* row, int n,
                                       const double* phi_u, int cur,
                                       graph::VenueId v,
                                       const SuffStatsArena& stats,
-                                      const ProposalTables& proposals,
                                       Pcg32* rng,
                                       GibbsScratch* scratch) const {
-  const int n = view.count;
   if (n <= 1) return 0;
   auto target = [&](int l) {
-    double t = phi_u[l] + view.gamma[l];
+    double t = phi_u[l] + row[l].gamma;
     if (t < 0.0) t = 0.0;
-    return t * VenueProb(view.candidates[l], v, stats);
+    return t * VenueProb(row[l].city, v, stats);
   };
   double t_cur = target(cur);
+  double w_cur = row[cur].w;
   for (int round = 0; round < kMhRounds; ++round) {
-    const int prop = proposals.Sample(u, rng);
+    const int prop = ProposalTables::Draw(row, n, rng);
     if (prop == cur) continue;
     const double t_prop = target(prop);
-    const double num = t_prop * proposals.Weight(u, cur);
-    const double den = t_cur * proposals.Weight(u, prop);
+    const double w_prop = row[prop].w;
+    const double num = t_prop * w_cur;
+    const double den = t_cur * w_prop;
     const bool accept =
         den > 0.0 ? rng->NextDouble() * den < num : num > 0.0;
     if (scratch != nullptr) {
@@ -340,6 +340,7 @@ int GibbsSampler::MhResampleSlotVenue(graph::UserId u,
     if (accept) {
       cur = prop;
       t_cur = t_prop;
+      w_cur = w_prop;
     }
   }
   return cur;
@@ -352,8 +353,11 @@ void GibbsSampler::SampleFollowingEdgeFast(graph::EdgeId s,
   const graph::FollowingEdge& edge = input_->graph->following(s);
   const graph::UserId i = edge.follower;
   const graph::UserId j = edge.friend_user;
-  const CandidateView& prior_i = space_->view(i);
-  const CandidateView& prior_j = space_->view(j);
+  const SuffStatsLayout& layout = space_->layout();
+  const int n_i = layout.candidate_count(i);
+  const int n_j = layout.candidate_count(j);
+  const ProposalRecord* row_i = proposals.row(i);
+  const ProposalRecord* row_j = proposals.row(j);
   double* phi_i = stats->phi_row(i);
   double* phi_j = stats->phi_row(j);
 
@@ -369,8 +373,8 @@ void GibbsSampler::SampleFollowingEdgeFast(graph::EdgeId s,
   // With latent assignments treated as auxiliary draws from θ̃ (matching
   // the blocked kernel's noise branch), every θ̃ factor cancels between
   // the branches and only the edge-generation terms remain.
-  geo::CityId cx = prior_i.candidates[x_idx_[s]];
-  geo::CityId cy = prior_j.candidates[y_idx_[s]];
+  geo::CityId cx = row_i[x_idx_[s]].city;
+  const geo::CityId cy = row_j[y_idx_[s]].city;
   if (config_->model_noise && config_->rho_f > 0.0) {
     const double w_random = config_->rho_f * random_models_->following_prob;
     const double w_location =
@@ -383,13 +387,11 @@ void GibbsSampler::SampleFollowingEdgeFast(graph::EdgeId s,
 
   // --- x | μ, y then y | μ, x via alias-MH rounds ---
   const bool located = mu_[s] == 0;
-  x_idx_[s] = MhResampleSlot(i, prior_i, phi_i, x_idx_[s],
-                             located ? cy : geo::kInvalidCity, proposals, rng,
-                             scratch);
-  cx = prior_i.candidates[x_idx_[s]];
-  y_idx_[s] = MhResampleSlot(j, prior_j, phi_j, y_idx_[s],
-                             located ? cx : geo::kInvalidCity, proposals, rng,
-                             scratch);
+  x_idx_[s] = MhResampleSlot(row_i, n_i, phi_i, x_idx_[s],
+                             located ? cy : geo::kInvalidCity, rng, scratch);
+  cx = row_i[x_idx_[s]].city;
+  y_idx_[s] = MhResampleSlot(row_j, n_j, phi_j, y_idx_[s],
+                             located ? cx : geo::kInvalidCity, rng, scratch);
 
   if (located) {
     phi_i[x_idx_[s]] += 1.0;
@@ -406,13 +408,15 @@ void GibbsSampler::SampleTweetingEdgeFast(graph::EdgeId k,
   const graph::TweetingEdge& edge = input_->graph->tweeting(k);
   const graph::UserId i = edge.user;
   const graph::VenueId v = edge.venue;
-  const CandidateView& prior_i = space_->view(i);
-  const int64_t num_venues = space_->layout().num_venues;
+  const SuffStatsLayout& layout = space_->layout();
+  const int n_i = layout.candidate_count(i);
+  const ProposalRecord* row_i = proposals.row(i);
+  const int64_t num_venues = layout.num_venues;
   double* phi_i = stats->phi_row(i);
 
   // --- remove ---
   if (nu_[k] == 0) {
-    const geo::CityId z = prior_i.candidates[z_idx_[k]];
+    const geo::CityId z = row_i[z_idx_[k]].city;
     phi_i[z_idx_[k]] -= 1.0;
     stats->phi_total[i] -= 1.0;
     stats->venue_row(z)[v] -= 1.0;
@@ -421,7 +425,7 @@ void GibbsSampler::SampleTweetingEdgeFast(graph::EdgeId k,
   }
 
   // --- ν | z: O(1), same auxiliary-variable cancellation as μ ---
-  const geo::CityId cz = prior_i.candidates[z_idx_[k]];
+  const geo::CityId cz = row_i[z_idx_[k]].city;
   if (config_->model_noise && config_->rho_t > 0.0) {
     const double w_random = config_->rho_t * random_models_->venue_prob[v];
     const double w_location =
@@ -434,17 +438,17 @@ void GibbsSampler::SampleTweetingEdgeFast(graph::EdgeId k,
 
   // --- z | ν via alias-MH rounds ---
   if (nu_[k] == 0) {
-    z_idx_[k] = MhResampleSlotVenue(i, prior_i, phi_i, z_idx_[k], v, *stats,
-                                    proposals, rng, scratch);
-    const geo::CityId z = prior_i.candidates[z_idx_[k]];
+    z_idx_[k] = MhResampleSlotVenue(row_i, n_i, phi_i, z_idx_[k], v, *stats,
+                                    rng, scratch);
+    const geo::CityId z = row_i[z_idx_[k]].city;
     phi_i[z_idx_[k]] += 1.0;
     stats->phi_total[i] += 1.0;
     stats->venue_row(z)[v] += 1.0;
     stats->venue_counts_total[z] += 1.0;
     scratch->venue_cells.push_back(static_cast<int64_t>(z) * num_venues + v);
   } else {
-    z_idx_[k] = MhResampleSlot(i, prior_i, phi_i, z_idx_[k],
-                               geo::kInvalidCity, proposals, rng, scratch);
+    z_idx_[k] = MhResampleSlot(row_i, n_i, phi_i, z_idx_[k],
+                               geo::kInvalidCity, rng, scratch);
   }
 }
 

@@ -263,6 +263,24 @@ class GibbsSampler {
                               GibbsScratch* scratch, Pcg32* rng,
                               const ProposalTables& proposals);
 
+  /// Independence-MH rounds for one assignment slot over a user's `n`
+  /// proposal records (ProposalTables::row) and live counts `phi_u`.
+  /// Target t(l) = max(0, ϕ_u[l]+γ[l]) · d^α(c_l, anchor) — pass
+  /// geo::kInvalidCity to drop the distance factor (latent / noise-branch
+  /// draws). Every read of the accept test except ϕ and d^α comes from the
+  /// records. `scratch` (may be null) tallies proposed/accepted moves for
+  /// the mixing gauges; the RNG stream is untouched by the tallies. Public
+  /// so tests can replay it draw-for-draw against a reference.
+  int MhResampleSlot(const ProposalRecord* row, int n, const double* phi_u,
+                     int cur, geo::CityId anchor, Pcg32* rng,
+                     GibbsScratch* scratch) const;
+
+  /// Same, with the tweeting target t(l) = max(0, ϕ_u[l]+γ[l]) · ψ_l(v).
+  int MhResampleSlotVenue(const ProposalRecord* row, int n,
+                          const double* phi_u, int cur, graph::VenueId v,
+                          const SuffStatsArena& stats, Pcg32* rng,
+                          GibbsScratch* scratch) const;
+
   /// The shared arena shape — a reference into the candidate space, which
   /// owns it (stable address across compactions).
   const SuffStatsLayout& layout() const { return space_->layout(); }
@@ -303,24 +321,6 @@ class GibbsSampler {
   /// (and prior rows living inside CandidateSpace) sample without building
   /// a vector per draw; callers reuse GibbsScratch buffers.
   int SampleCandidate(const double* weights, int count, Pcg32* rng) const;
-
-  /// Independence-MH rounds for one assignment slot of user `u`. Target
-  /// t(l) = max(0, ϕ_u[l]+γ[l]) · d^α(c_l, anchor) — pass
-  /// geo::kInvalidCity to drop the distance factor (latent / noise-branch
-  /// draws). Proposals and their stale weights come from `proposals`.
-  /// `scratch` (may be null) tallies proposed/accepted moves for the
-  /// mixing gauges; the RNG stream is untouched by the tallies.
-  int MhResampleSlot(graph::UserId u, const CandidateView& view,
-                     const double* phi_u, int cur, geo::CityId anchor,
-                     const ProposalTables& proposals, Pcg32* rng,
-                     GibbsScratch* scratch) const;
-
-  /// Same, with the tweeting target t(l) = max(0, ϕ_u[l]+γ[l]) · ψ_l(v).
-  int MhResampleSlotVenue(graph::UserId u, const CandidateView& view,
-                          const double* phi_u, int cur, graph::VenueId v,
-                          const SuffStatsArena& stats,
-                          const ProposalTables& proposals, Pcg32* rng,
-                          GibbsScratch* scratch) const;
 
   const ModelInput* input_;
   const MlpConfig* config_;

@@ -12,7 +12,6 @@
 #include "core/sampler.h"
 #include "engine/graph_sharder.h"
 #include "engine/thread_pool.h"
-#include "stats/alias_table.h"
 
 namespace mlp {
 namespace engine {
@@ -257,7 +256,7 @@ class ParallelGibbsEngine {
   std::vector<core::SuffStatsArena> replicas_;
   std::vector<core::SuffStatsArena> delta_accs_;
   std::vector<core::GibbsScratch> scratches_;
-  std::vector<stats::AliasBuildScratch> alias_scratches_;
+  std::vector<core::ProposalBuildScratch> proposal_scratches_;
 
   core::ProposalTables proposals_;
   core::SuffStatsArena snapshot_;       // resample-pass baseline counts

@@ -85,14 +85,17 @@ FitProfile ComputeFitProfile(const std::map<std::string, uint64_t>& before,
                            : 0.0;
   profile.rows.push_back(std::move(other));
 
-  // Prune and rebalance run between sweeps, outside fit_sweep_ns; report
-  // them with percentages relative to sweep time for scale, not as part of
-  // the 100%. Keeping them in separate counters (ISSUE 7) means the prune
-  // row measures PruneStep + the sampler compaction only, and the
-  // scheduler's reshard + touch-set rebuild shows up as its own phase.
+  // Prune, rebalance and the posterior accumulate run between sweeps,
+  // outside fit_sweep_ns; report them with percentages relative to sweep
+  // time for scale, not as part of the 100%. Keeping them in separate
+  // counters (ISSUE 7) means the prune row measures PruneStep + the sampler
+  // compaction only, and the scheduler's reshard + touch-set rebuild shows
+  // up as its own phase. The accumulate folds each sampling sweep's chain
+  // state into the posterior accumulators, single-threaded.
   static const Spec kBetweenSweeps[] = {
       {"candidate prune (between sweeps)", kFitPruneNs, false},
       {"shard rebalance (between sweeps)", kFitRebalanceNs, false},
+      {"posterior accumulate (between sweeps)", kFitAccumulateNs, false},
   };
   for (const Spec& spec : kBetweenSweeps) {
     PhaseRow row;

@@ -25,6 +25,7 @@ inline constexpr char kFitDeltaMergeNs[] = "fit_delta_merge_ns";
 inline constexpr char kFitTraceRecordNs[] = "fit_trace_record_ns";
 inline constexpr char kFitPruneNs[] = "fit_prune_ns";
 inline constexpr char kFitRebalanceNs[] = "fit_rebalance_ns";
+inline constexpr char kFitAccumulateNs[] = "fit_accumulate_ns";
 inline constexpr char kFitSeqFollowingNs[] = "fit_seq_following_ns";
 inline constexpr char kFitSeqTweetingNs[] = "fit_seq_tweeting_ns";
 

@@ -493,16 +493,28 @@ TEST(FitProfileTest, PruneAndRebalanceReportedOutsideTheSweepBudget) {
   after[kFitSweepNs] = 100000000;   // 100 ms
   after[kFitPruneNs] = 5000000;     // 5 ms between sweeps
   after[kFitRebalanceNs] = 2000000; // 2 ms between sweeps
+  after[kFitAccumulateNs] = 8000000; // 8 ms between sweeps, main thread
   FitProfile profile = ComputeFitProfile(before, after, 4);
   // Between-sweeps phases never count toward the in-sweep 100%.
   EXPECT_NEAR(profile.accounted_pct, 0.0, 1e-9);
-  double prune_ms = -1.0, rebalance_ms = -1.0;
+  double prune_ms = -1.0, rebalance_ms = -1.0, accumulate_ms = -1.0,
+         accumulate_pct = -1.0;
+  std::string accumulate_phase;
   for (const PhaseRow& row : profile.rows) {
     if (row.counter == kFitPruneNs) prune_ms = row.wall_ms;
     if (row.counter == kFitRebalanceNs) rebalance_ms = row.wall_ms;
+    if (row.counter == kFitAccumulateNs) {
+      accumulate_ms = row.wall_ms;
+      accumulate_pct = row.pct_of_sweep;
+      accumulate_phase = row.phase;
+    }
   }
   EXPECT_DOUBLE_EQ(prune_ms, 5.0);
   EXPECT_DOUBLE_EQ(rebalance_ms, 2.0);
+  // The accumulate is single-threaded: not divided by the 4 workers.
+  EXPECT_DOUBLE_EQ(accumulate_ms, 8.0);
+  EXPECT_DOUBLE_EQ(accumulate_pct, 8.0);
+  EXPECT_EQ(accumulate_phase, "posterior accumulate (between sweeps)");
 }
 
 TEST(FitProfileTest, DiffsAgainstBeforeSnapshot) {

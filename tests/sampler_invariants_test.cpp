@@ -4,6 +4,7 @@
 // and the d^α table must honor its floor.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/priors.h"
 #include "core/random_models.h"
 #include "core/sampler.h"
+#include "stats/alias_table.h"
 #include "eval/cross_validation.h"
 #include "synth/world_generator.h"
 
@@ -162,6 +164,189 @@ TEST_F(SamplerInvariantsTest, AssignmentHistogramBoundedByLabeledEdges) {
   // edge.
   EXPECT_LE(total, static_cast<double>(labeled_edges) + 1e-9);
   EXPECT_GT(total, 0.0);
+}
+
+// ------------------------------------------ packed alias-MH bit-exactness
+
+// Reference alias-MH step over three parallel arrays — the layout the
+// packed ProposalRecord rows replaced: alias buckets from
+// AliasTable::BuildInto, draws via AliasTable::SampleFrom, stale weights in
+// `w`, and γ / candidate cities read from their own arrays. The packed
+// GibbsSampler::MhResampleSlot{,Venue} must replay it draw for draw.
+constexpr int kReferenceMhRounds = 3;  // GibbsSampler's kMhRounds
+
+struct ReferenceRow {
+  std::vector<double> w;
+  std::vector<double> prob;
+  std::vector<int32_t> alias;
+};
+
+ReferenceRow BuildReferenceRow(const std::vector<double>& phi_stale,
+                               const std::vector<double>& gamma) {
+  const int n = static_cast<int>(gamma.size());
+  ReferenceRow row;
+  row.w.resize(n);
+  row.prob.resize(n);
+  row.alias.resize(n);
+  for (int l = 0; l < n; ++l) {
+    const double w = phi_stale[l] + gamma[l];
+    row.w[l] = w > 0.0 ? w : 0.0;
+  }
+  stats::AliasBuildScratch scratch;
+  stats::AliasTable::BuildInto(row.w.data(), n, row.prob.data(),
+                               row.alias.data(), &scratch);
+  return row;
+}
+
+// `factor(l)` is the target's non-count factor: d^α to the anchor, 1 when
+// unanchored, or the venue probability ψ_l(v).
+template <typename Factor>
+int ReferenceMhResample(const ReferenceRow& row, const double* phi_u,
+                        const std::vector<double>& gamma, int cur,
+                        const Factor& factor, bool scaled, Pcg32* rng,
+                        GibbsScratch* scratch) {
+  const int n = static_cast<int>(gamma.size());
+  if (n <= 1) return 0;
+  auto target = [&](int l) {
+    double t = phi_u[l] + gamma[l];
+    if (t < 0.0) t = 0.0;
+    if (scaled) t *= factor(l);
+    return t;
+  };
+  double t_cur = target(cur);
+  for (int round = 0; round < kReferenceMhRounds; ++round) {
+    const int prop = stats::AliasTable::SampleFrom(
+        row.prob.data(), row.alias.data(), n, rng);
+    if (prop == cur) continue;
+    const double t_prop = target(prop);
+    const double num = t_prop * row.w[cur];
+    const double den = t_cur * row.w[prop];
+    const bool accept =
+        den > 0.0 ? rng->NextDouble() * den < num : num > 0.0;
+    ++scratch->mh_proposed;
+    scratch->mh_accepted += accept ? 1 : 0;
+    if (accept) {
+      cur = prop;
+      t_cur = t_prop;
+    }
+  }
+  return cur;
+}
+
+void ExpectSameRngState(const Pcg32& a, const Pcg32& b, int trial) {
+  const Pcg32State sa = a.SaveState();
+  const Pcg32State sb = b.SaveState();
+  EXPECT_EQ(sa.state, sb.state) << "trial " << trial;
+  EXPECT_EQ(sa.inc, sb.inc) << "trial " << trial;
+  EXPECT_EQ(sa.has_cached_normal, sb.has_cached_normal) << "trial " << trial;
+}
+
+TEST_F(SamplerInvariantsTest, PackedMhStepMatchesThreeArrayReference) {
+  ModelInput input = MakeInput();
+  MlpConfig config;
+  CandidateSpace space = CandidateSpace::Build(input, config);
+  RandomModels models = RandomModels::Learn(*input.graph);
+  PowTable pow_table(input.distances, config.alpha);
+  GibbsSampler sampler(&input, &config, &space, &models, &pow_table);
+  Pcg32 init_rng(11);
+  sampler.Initialize(&init_rng);  // live venue counts for ψ_l(v)
+  const SuffStatsArena& stats = sampler.stats();
+  const int num_cities = input.num_locations();
+  const int num_venues = input.num_venues();
+  ASSERT_GT(num_venues, 0);
+  const double venue_total = static_cast<double>(num_venues);
+
+  const int kSizes[] = {1, 2, 3, 5, 8, 17, 40};
+  enum Target { kUnanchored, kAnchored, kVenue };
+  Pcg32 gen(2024);
+  ProposalBuildScratch build_scratch;
+  int64_t moves = 0;
+  bool saw_zero_row = false, saw_negative = false;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = kSizes[trial % 7];
+    const Target kind = static_cast<Target>((trial / 7) % 3);
+    // Row shape: 1 in 5 rows has every stale weight at zero (the
+    // degenerate uniform table); otherwise stale ϕ are small counts.
+    const bool zero_row = (trial / 21) % 5 == 0;
+    std::vector<geo::CityId> cities(n);
+    std::vector<double> gamma(n), phi_stale(n), phi_live(n);
+    for (int l = 0; l < n; ++l) {
+      cities[l] = static_cast<geo::CityId>(gen.UniformU32(num_cities));
+      gamma[l] = 0.01 + 2.0 * gen.NextDouble();
+      phi_stale[l] = zero_row ? -gamma[l] - gen.NextDouble()
+                              : static_cast<double>(gen.UniformU32(6));
+      // Live counts drift from the stale row; 1 in 6 slots is a negative
+      // deferred-sync transient that the target clamps to zero.
+      phi_live[l] = gen.UniformU32(6) == 0
+                        ? -gamma[l] - 1.0 - gen.NextDouble()
+                        : static_cast<double>(gen.UniformU32(8));
+      saw_negative = saw_negative || phi_live[l] + gamma[l] < 0.0;
+    }
+    saw_zero_row = saw_zero_row || zero_row;
+    const int cur = static_cast<int>(gen.UniformU32(n));
+    const geo::CityId anchor =
+        static_cast<geo::CityId>(gen.UniformU32(num_cities));
+    const graph::VenueId venue =
+        static_cast<graph::VenueId>(gen.UniformU32(num_venues));
+
+    const ReferenceRow ref_row = BuildReferenceRow(phi_stale, gamma);
+    std::vector<ProposalRecord> records(n);
+    ProposalTables::FillRow(phi_stale.data(), gamma.data(), cities.data(), n,
+                            records.data(), &build_scratch);
+
+    const uint64_t seed = gen.NextU64();
+    Pcg32 ref_rng(seed, 7);
+    Pcg32 packed_rng(seed, 7);
+    GibbsScratch ref_tally;
+    GibbsScratch packed_tally;
+    int ref_slot = -1;
+    int packed_slot = -1;
+    switch (kind) {
+      case kUnanchored:
+        ref_slot = ReferenceMhResample(
+            ref_row, phi_live.data(), gamma, cur, [](int) { return 1.0; },
+            false, &ref_rng, &ref_tally);
+        packed_slot = sampler.MhResampleSlot(records.data(), n,
+                                             phi_live.data(), cur,
+                                             geo::kInvalidCity, &packed_rng,
+                                             &packed_tally);
+        break;
+      case kAnchored:
+        ref_slot = ReferenceMhResample(
+            ref_row, phi_live.data(), gamma, cur,
+            [&](int l) { return pow_table.Get(cities[l], anchor); }, true,
+            &ref_rng, &ref_tally);
+        packed_slot = sampler.MhResampleSlot(records.data(), n,
+                                             phi_live.data(), cur, anchor,
+                                             &packed_rng, &packed_tally);
+        break;
+      case kVenue:
+        ref_slot = ReferenceMhResample(
+            ref_row, phi_live.data(), gamma, cur,
+            [&](int l) {
+              return (stats.venue_row(cities[l])[venue] + config.delta) /
+                     (stats.venue_counts_total[cities[l]] +
+                      config.delta * venue_total);
+            },
+            true, &ref_rng, &ref_tally);
+        packed_slot = sampler.MhResampleSlotVenue(
+            records.data(), n, phi_live.data(), cur, venue, stats,
+            &packed_rng, &packed_tally);
+        break;
+    }
+    ASSERT_EQ(packed_slot, ref_slot) << "trial " << trial << " n=" << n;
+    ExpectSameRngState(packed_rng, ref_rng, trial);
+    EXPECT_EQ(packed_tally.mh_proposed, ref_tally.mh_proposed)
+        << "trial " << trial;
+    EXPECT_EQ(packed_tally.mh_accepted, ref_tally.mh_accepted)
+        << "trial " << trial;
+    moves += ref_slot != cur ? 1 : 0;
+  }
+  // The trials exercised what they were built to: degenerate rows, clamped
+  // transients, and real moves (not a chain that never leaves `cur`).
+  EXPECT_TRUE(saw_zero_row);
+  EXPECT_TRUE(saw_negative);
+  EXPECT_GT(moves, 100);
 }
 
 // ------------------------------------------------------------- pow table
