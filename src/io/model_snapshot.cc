@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <type_traits>
 #include <utility>
@@ -394,17 +395,33 @@ Status SaveModelSnapshotAtVersion(const std::string& path,
   header.Put<uint64_t>(payload.buffer().size());
   header.Put<uint64_t>(checksum.hash);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open " + path + " for writing");
+  // Write a sibling temp file and rename it over `path`: a save that fails
+  // or crashes midway leaves the previous snapshot intact instead of a
+  // truncated one. (No fsync — this guards against partial writes, not
+  // power loss.)
+  const std::string tmp = path + ".tmp";
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+      return Status::IOError("cannot open " + tmp + " for writing");
+    }
+    out.write(header.buffer().data(),
+              static_cast<std::streamsize>(header.buffer().size()));
+    out.write(payload.buffer().data(),
+              static_cast<std::streamsize>(payload.buffer().size()));
+    out.flush();
+    if (!out.good()) {
+      out.close();
+      std::filesystem::remove(tmp, ec);
+      return Status::IOError("short write to " + tmp);
+    }
   }
-  out.write(header.buffer().data(),
-            static_cast<std::streamsize>(header.buffer().size()));
-  out.write(payload.buffer().data(),
-            static_cast<std::streamsize>(payload.buffer().size()));
-  out.flush();
-  if (!out.good()) {
-    return Status::IOError("short write to " + path);
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    const std::string reason = ec.message();
+    std::filesystem::remove(tmp, ec);
+    return Status::IOError("cannot replace " + path + ": " + reason);
   }
   return Status::OK();
 }

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace mlp {
 namespace serve {
@@ -174,6 +175,8 @@ Status HttpServer::Start(int port, HttpHandler handler,
 }
 
 void HttpServer::AcceptLoop() {
+  static obs::Counter* const connections_total =
+      obs::Registry::Global().GetCounter(kServeConnectionsTotal);
   while (!stopping_.load()) {
     int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
     if (fd < 0) {
@@ -181,7 +184,7 @@ void HttpServer::AcceptLoop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener closed or unrecoverable
     }
-    connections_.fetch_add(1);
+    connections_total->Add(1);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     SetReadTimeout(fd, kReadTimeoutSeconds);
@@ -264,7 +267,6 @@ void HttpServer::ServeConnection(int fd) {
       trace.AddStageNs(obs::RequestStage::kParse, parsed_ns - first_byte_ns);
     }
     HttpResponse response = handler_(request, &trace);
-    requests_served_.fetch_add(1);
     const bool keep_alive = request.keep_alive && !stopping_.load();
     std::string out = StringPrintf(
         "HTTP/1.1 %d %s\r\n"

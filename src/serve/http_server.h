@@ -17,6 +17,9 @@
 namespace mlp {
 namespace serve {
 
+/// Connections accepted, process-wide (every HttpServer adds to it).
+inline constexpr char kServeConnectionsTotal[] = "serve_connections_total";
+
 /// One parsed HTTP/1.1 request (the subset the serving layer needs:
 /// request line, Content-Length bodies, Connection header).
 struct HttpRequest {
@@ -81,9 +84,6 @@ class HttpServer {
   /// finish, blocked reads are woken via shutdown(2).
   void Stop();
 
-  uint64_t requests_served() const { return requests_served_.load(); }
-  uint64_t connections_accepted() const { return connections_.load(); }
-
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
@@ -104,8 +104,6 @@ class HttpServer {
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> connections_{0};
 
   std::mutex mu_;
   std::condition_variable idle_cv_;

@@ -1,6 +1,7 @@
 #include "serve/model_server.h"
 
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -66,44 +67,76 @@ std::vector<int64_t> LatencyBoundsUs() {
           10000, 25000, 50000, 100000, 250000, 1000000};
 }
 
+/// Trace endpoints with their own series, in ModelServer::endpoints_
+/// order; any other endpoint label maps to the trailing "other" slot.
+constexpr const char* kEndpointNames[] = {"user", "edge", "batch", "other"};
+constexpr int kOtherSlot = 3;
+
+int EndpointSlot(std::string_view endpoint) {
+  int slot = 0;
+  while (slot < kOtherSlot && endpoint != kEndpointNames[slot]) ++slot;
+  return slot;
+}
+
+// This server's gauges, set by UpdateGauges just before a page renders.
+constexpr char kConnQueueDepth[] = "serve_conn_queue_depth";
+constexpr char kModelGeneration[] = "serve_model_generation";
+constexpr char kSecondsSinceLastSwap[] = "serve_seconds_since_last_swap";
+
+std::string RegistryGauge(const char* name) {
+  return std::to_string(obs::Registry::Global().GetGauge(name)->Value());
+}
+
+std::string RegistryCount(const char* name) {
+  return std::to_string(obs::Registry::Global().GetCounter(name)->Value());
+}
+
+/// The live-ingest rows /statsz and /statusz share: the spool
+/// watcher's registry metrics, so the CI live-pipeline job (and operators)
+/// can poll one JSON endpoint for swap progress and quarantine counts. All
+/// zero when no --spool watcher is attached.
+std::vector<std::pair<std::string, std::string>> LiveRows() {
+  return {
+      {"live_spool_depth", RegistryGauge(obs::kIngestSpoolDepth)},
+      {"live_batches_applied", RegistryCount(obs::kIngestLiveBatchesTotal)},
+      {"live_batches_failed", RegistryCount(obs::kIngestFailedBatchesTotal)},
+      {"live_swap_staleness_ms", RegistryGauge(obs::kIngestSwapStalenessMs)},
+  };
+}
+
 }  // namespace
 
 ModelServer::ModelServer(ReadModel model, const ServeOptions& options)
     : options_(options),
       conn_pool_(std::max(1, options.threads)),
       http_(&conn_pool_),
-      slow_ring_(static_cast<size_t>(std::max(1, options.slow_ring_capacity))),
-      requests_total_(
-          obs::Registry::Global().GetCounter("serve_requests_total")),
-      request_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_request_latency_us", LatencyBoundsUs())),
-      user_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_user_latency_us", LatencyBoundsUs())),
-      edge_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_edge_latency_us", LatencyBoundsUs())),
-      batch_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_batch_latency_us", LatencyBoundsUs())),
-      other_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_other_latency_us", LatencyBoundsUs())),
-      user_errors_total_(
-          obs::Registry::Global().GetCounter("serve_user_errors_total")),
-      edge_errors_total_(
-          obs::Registry::Global().GetCounter("serve_edge_errors_total")),
-      batch_errors_total_(
-          obs::Registry::Global().GetCounter("serve_batch_errors_total")),
-      other_errors_total_(
-          obs::Registry::Global().GetCounter("serve_other_errors_total")),
-      slow_requests_total_(
-          obs::Registry::Global().GetCounter("serve_slow_requests_total")) {
+      slow_ring_(static_cast<size_t>(std::max(1, options.slow_ring_capacity))) {
+  static_assert(std::size(kEndpointNames) == kNumEndpoints);
+  obs::Registry& registry = obs::Registry::Global();
+  requests_total_ = registry.GetCounter(kServeRequestsTotal);
+  request_latency_us_ =
+      registry.GetHistogram("serve_request_latency_us", LatencyBoundsUs());
+  for (int i = 0; i < kNumEndpoints; ++i) {
+    const std::string prefix = std::string("serve_") + kEndpointNames[i];
+    EndpointSeries& series = endpoints_[i];
+    if (i != kOtherSlot) {
+      series.requests = registry.GetCounter(prefix + "_requests_total");
+    }
+    series.errors = registry.GetCounter(prefix + "_errors_total");
+    series.latency =
+        registry.GetHistogram(prefix + "_latency_us", LatencyBoundsUs());
+  }
+  batch_lookups_total_ = registry.GetCounter("serve_batch_lookups_total");
+  model_swaps_total_ = registry.GetCounter("serve_model_swaps_total");
+  slow_requests_total_ = registry.GetCounter("serve_slow_requests_total");
   for (int s = 0; s < obs::kNumRequestStages; ++s) {
-    stage_ns_total_[s] = obs::Registry::Global().GetCounter(
+    stage_ns_total_[s] = registry.GetCounter(
         obs::RequestStageCounterName(static_cast<obs::RequestStage>(s)));
   }
   auto published = std::make_shared<Published>();
   published->model = std::make_shared<const ReadModel>(std::move(model));
   published->generation = 1;
   published_ = std::move(published);
-  swaps_.store(0);
 }
 
 ModelServer::~ModelServer() { Stop(); }
@@ -156,7 +189,7 @@ void ModelServer::SwapReadModel(ReadModel model) {
   fresh->generation = Pin()->generation + 1;
   std::atomic_store(&published_,
                     std::shared_ptr<const Published>(std::move(fresh)));
-  swaps_.fetch_add(1);
+  model_swaps_total_->Add(1);
   last_swap_ns_.store(SteadyNs());
 }
 
@@ -176,15 +209,12 @@ uint64_t ModelServer::model_generation() const { return Pin()->generation; }
 
 HttpResponse ModelServer::HandleUser(const ReadModel& model,
                                      const std::string& rest) {
-  user_queries_.fetch_add(1);
   int64_t id = ParseId(rest);
   if (id < 0) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, "user id must be a non-negative integer");
   }
   std::string_view fragment = model.UserJson(NarrowUserId(id));
   if (fragment.empty()) {
-    errors_.fetch_add(1);
     return ErrorResponse(404, StringPrintf("no user %lld",
                                            static_cast<long long>(id)));
   }
@@ -195,22 +225,18 @@ HttpResponse ModelServer::HandleUser(const ReadModel& model,
 
 HttpResponse ModelServer::HandleEdge(const ReadModel& model,
                                      const std::string& rest) {
-  edge_queries_.fetch_add(1);
   size_t slash = rest.find('/');
   if (slash == std::string::npos) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, "expected /v1/edge/{src}/{dst}");
   }
   int64_t src = ParseId(rest.substr(0, slash));
   int64_t dst = ParseId(rest.substr(slash + 1));
   if (src < 0 || dst < 0) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, "edge endpoints must be non-negative integers");
   }
   std::string_view fragment = model.EdgeJson(
       model.FindEdge(NarrowUserId(src), NarrowUserId(dst)));
   if (fragment.empty()) {
-    errors_.fetch_add(1);
     return ErrorResponse(
         404, StringPrintf("no following relationship %lld -> %lld",
                           static_cast<long long>(src),
@@ -226,27 +252,22 @@ HttpResponse ModelServer::HandleBatch(const ReadModel& model,
                                       obs::RequestTrace* trace) {
   Result<JsonValue> parsed = ParseJson(request.body);
   if (!parsed.ok()) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, parsed.status().message());
   }
   if (!parsed->is_object()) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, "batch body must be a JSON object");
   }
   const JsonValue* users = parsed->Find("users");
   if (users != nullptr && !users->is_array()) {
-    errors_.fetch_add(1);
     return ErrorResponse(400, "\"users\" must be an array of ids");
   }
   const JsonValue* edges = parsed->Find("edges");
   if (edges != nullptr) {
     if (!edges->is_array()) {
-      errors_.fetch_add(1);
       return ErrorResponse(400, "\"edges\" must be an array of [src,dst]");
     }
     for (const JsonValue& item : edges->items) {
       if (!item.is_array() || item.items.size() != 2) {
-        errors_.fetch_add(1);
         return ErrorResponse(400, "each edge must be a [src,dst] pair");
       }
     }
@@ -281,71 +302,83 @@ HttpResponse ModelServer::HandleBatch(const ReadModel& model,
     }
   }
   body += "]}";
-  batch_queries_.fetch_add((users != nullptr ? users->items.size() : 0) +
-                           (edges != nullptr ? edges->items.size() : 0));
+  batch_lookups_total_->Add((users != nullptr ? users->items.size() : 0) +
+                            (edges != nullptr ? edges->items.size() : 0));
   return response;
+}
+
+void ModelServer::UpdateGauges(const Published& published) {
+  obs::Registry& registry = obs::Registry::Global();
+  registry.GetGauge(kConnQueueDepth)->Set(conn_pool_.queue_depth());
+  registry.GetGauge(kModelGeneration)
+      ->Set(static_cast<int64_t>(published.generation));
+  registry.GetGauge(kSecondsSinceLastSwap)
+      ->Set(static_cast<int64_t>(SecondsSinceLastSwap()));
+  obs::UpdateProcessRssGauges();
+}
+
+ModelServer::Rows ModelServer::ServerRows(const Published& published) {
+  UpdateGauges(published);
+  const double uptime =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    start_time_)
+          .count();
+  uint64_t errors = 0;
+  for (const EndpointSeries& series : endpoints_) {
+    errors += series.errors->Value();
+  }
+  auto count = [](const obs::Counter* counter) {
+    return std::to_string(counter->Value());
+  };
+  const uint64_t requests = requests_total_->Value();
+  return {
+      {"threads", std::to_string(conn_pool_.size())},
+      {"uptime_seconds", StringPrintf("%.1f", uptime)},
+      {"qps", StringPrintf("%.2f", uptime > 0.0 ? requests / uptime : 0.0)},
+      {"requests_served", std::to_string(requests)},
+      {"connections_accepted", RegistryCount(kServeConnectionsTotal)},
+      {"user_queries", count(endpoints_[0].requests)},
+      {"edge_queries", count(endpoints_[1].requests)},
+      {"batch_lookups", count(batch_lookups_total_)},
+      {"errors", std::to_string(errors)},
+      {"conn_queue_depth", RegistryGauge(kConnQueueDepth)},
+      {"model_generation", RegistryGauge(kModelGeneration)},
+      {"model_swaps", count(model_swaps_total_)},
+      {"seconds_since_last_swap", RegistryGauge(kSecondsSinceLastSwap)},
+  };
 }
 
 HttpResponse ModelServer::HandleStats(const Published& published,
                                       const std::string& query) {
   const ReadModel& model = *published.model;
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time_)
-          .count();
-  std::vector<std::pair<std::string, std::string>> rows;
-  auto add = [&](const std::string& key, const std::string& value) {
-    rows.emplace_back(key, value);
-  };
-  add("users", std::to_string(model.num_users()));
-  add("following_edges", std::to_string(model.num_edges()));
-  add("model_generation", std::to_string(published.generation));
-  add("model_swaps", std::to_string(swaps_.load()));
-  add("active_candidate_slots",
-      std::to_string(model.active_candidate_slots()));
-  add("candidate_layout_version",
-      std::to_string(model.candidate_layout_version()));
-  add("mean_profile_entries",
-      StringPrintf("%.2f", model.mean_profile_entries()));
-  add("alpha", StringPrintf("%.4f", model.alpha()));
-  add("beta", StringPrintf("%.6f", model.beta()));
-  add("fit_complete", model.fit_complete() ? "1" : "0");
   // Memory picture (ISSUE 8): the read model's exact owned footprint next
   // to the live process RSS. mmap-backed models account only resident
   // structures — the gap between RSS and the snapshot size is the point.
-  add("mmap_backed", model.mmap_backed() ? "1" : "0");
   const int64_t model_bytes = model.AccountedBytes();
   obs::Registry::Global().GetGauge(obs::kMemReadModelBytes)->Set(model_bytes);
-  obs::UpdateProcessRssGauges();
-  add("mem_readmodel_bytes", std::to_string(model_bytes));
-  add("mem_process_rss_bytes", std::to_string(obs::ProcessRssBytes()));
-  add("mem_process_peak_rss_bytes",
-      std::to_string(obs::ProcessPeakRssBytes()));
-  add("threads", std::to_string(conn_pool_.size()));
-  add("uptime_seconds", StringPrintf("%.1f", uptime));
-  add("requests_served", std::to_string(http_.requests_served()));
-  add("connections_accepted", std::to_string(http_.connections_accepted()));
-  add("user_queries", std::to_string(user_queries_.load()));
-  add("edge_queries", std::to_string(edge_queries_.load()));
-  add("batch_lookups", std::to_string(batch_queries_.load()));
-  add("errors", std::to_string(errors_.load()));
-  add("conn_queue_depth", std::to_string(conn_pool_.queue_depth()));
-  // Live ingest daemon (ISSUE 10): the spool watcher's registry metrics,
-  // surfaced here so the CI live-pipeline job (and operators) can poll a
-  // single JSON endpoint for swap progress and quarantine counts. All
-  // zero when no --spool watcher is attached.
-  obs::Registry& registry = obs::Registry::Global();
-  add("live_spool_depth",
-      std::to_string(registry.GetGauge(obs::kIngestSpoolDepth)->Value()));
-  add("live_batches_applied",
-      std::to_string(
-          registry.GetCounter(obs::kIngestLiveBatchesTotal)->Value()));
-  add("live_batches_failed",
-      std::to_string(
-          registry.GetCounter(obs::kIngestFailedBatchesTotal)->Value()));
-  add("live_swap_staleness_ms",
-      std::to_string(
-          registry.GetGauge(obs::kIngestSwapStalenessMs)->Value()));
+  Rows rows = {
+      {"users", std::to_string(model.num_users())},
+      {"following_edges", std::to_string(model.num_edges())},
+      {"active_candidate_slots",
+       std::to_string(model.active_candidate_slots())},
+      {"candidate_layout_version",
+       std::to_string(model.candidate_layout_version())},
+      {"mean_profile_entries",
+       StringPrintf("%.2f", model.mean_profile_entries())},
+      {"alpha", StringPrintf("%.4f", model.alpha())},
+      {"beta", StringPrintf("%.6f", model.beta())},
+      {"fit_complete", model.fit_complete() ? "1" : "0"},
+      {"mmap_backed", model.mmap_backed() ? "1" : "0"},
+      {"mem_readmodel_bytes", std::to_string(model_bytes)},
+  };
+  const Rows server = ServerRows(published);
+  rows.insert(rows.end(), server.begin(), server.end());
+  rows.emplace_back("mem_process_rss_bytes",
+                    RegistryGauge(obs::kMemProcessRssBytes));
+  rows.emplace_back("mem_process_peak_rss_bytes",
+                    RegistryGauge(obs::kMemProcessPeakRssBytes));
+  const Rows live = LiveRows();
+  rows.insert(rows.end(), live.begin(), live.end());
 
   HttpResponse response;
   if (query == "format=csv" || query == "format=table") {
@@ -371,44 +404,16 @@ HttpResponse ModelServer::HandleStats(const Published& published,
 }
 
 HttpResponse ModelServer::HandleMetrics(const Published& published) {
-  // Everything the process-wide registry holds (fit/ingest phase counters,
-  // the request-latency histograms), plus server-local stats rendered in
-  // the same exposition format.
-  // Every scrape sees the memory picture as of this scrape, not as of the
-  // last /statsz visit: refresh VmRSS/VmHWM before rendering.
-  obs::UpdateProcessRssGauges();
-  std::string body = obs::Registry::Global().RenderPrometheus();
-  auto counter = [&](const char* name, uint64_t value) {
-    body += StringPrintf("# TYPE %s counter\n%s %llu\n", name, name,
-                         static_cast<unsigned long long>(value));
-  };
-  auto gauge = [&](const char* name, int64_t value) {
-    body += StringPrintf("# TYPE %s gauge\n%s %lld\n", name, name,
-                         static_cast<long long>(value));
-  };
-  counter("serve_errors_total", errors_.load());
-  counter("serve_model_swaps_total", swaps_.load());
-  gauge("serve_conn_queue_depth", conn_pool_.queue_depth());
-  gauge("serve_model_generation", static_cast<int64_t>(published.generation));
-  gauge("serve_seconds_since_last_swap",
-        static_cast<int64_t>(SecondsSinceLastSwap()));
+  // The registry is the whole exposition; this server's gauges and the
+  // process RSS are set first so the scrape sees them as of now.
+  UpdateGauges(published);
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  response.body = std::move(body);
+  response.body = obs::Registry::Global().RenderPrometheus();
   return response;
 }
 
 HttpResponse ModelServer::HandleStatusz(const Published& published) {
-  const ReadModel& model = *published.model;
-  obs::UpdateProcessRssGauges();
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time_)
-          .count();
-  const uint64_t requests = http_.requests_served();
-  const double qps = uptime > 0.0 ? static_cast<double>(requests) / uptime
-                                  : 0.0;
-
   std::string body;
   body +=
       "<!DOCTYPE html><html><head><title>mlp /statusz</title>"
@@ -419,44 +424,28 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
       "</style></head><body><h1>mlp model server</h1>\n";
 
   body += "<h2>server</h2><table>\n";
-  auto row = [&](const char* key, const std::string& value) {
-    body += StringPrintf("<tr><td>%s</td><td>%s</td></tr>\n", key,
+  auto row = [&](const std::string& key, const std::string& value) {
+    body += StringPrintf("<tr><td>%s</td><td>%s</td></tr>\n", key.c_str(),
                          value.c_str());
   };
-  row("uptime_seconds", StringPrintf("%.1f", uptime));
-  row("qps", StringPrintf("%.2f", qps));
-  row("requests_served", std::to_string(requests));
-  row("errors", std::to_string(errors_.load()));
-  row("model_generation", std::to_string(published.generation));
-  row("model_swaps", std::to_string(swaps_.load()));
-  row("seconds_since_last_swap",
-      StringPrintf("%.1f", SecondsSinceLastSwap()));
-  row("model_users", std::to_string(model.num_users()));
-  row("vm_rss_bytes", std::to_string(obs::ProcessRssBytes()));
-  row("vm_hwm_bytes", std::to_string(obs::ProcessPeakRssBytes()));
+  for (const auto& [key, value] : ServerRows(published)) row(key, value);
+  row("model_users", std::to_string(published.model->num_users()));
+  row("vm_rss_bytes", RegistryGauge(obs::kMemProcessRssBytes));
+  row("vm_hwm_bytes", RegistryGauge(obs::kMemProcessPeakRssBytes));
   row("slow_requests_captured", std::to_string(slow_ring_.total_pushed()));
   body += "</table>\n";
 
-  // Live ingest daemon (ISSUE 10): spool health at a glance. Rendered only
-  // when a watcher has ever touched the registry (applied or failed at
-  // least one batch, or has a non-empty spool) — a plain static server
-  // keeps its dashboard uncluttered.
-  obs::Registry& registry = obs::Registry::Global();
-  const int64_t live_depth = registry.GetGauge(obs::kIngestSpoolDepth)->Value();
-  const uint64_t live_applied =
-      registry.GetCounter(obs::kIngestLiveBatchesTotal)->Value();
-  const uint64_t live_failed =
-      registry.GetCounter(obs::kIngestFailedBatchesTotal)->Value();
-  if (live_depth > 0 || live_applied > 0 || live_failed > 0) {
+  // Live ingest: rendered only when a watcher has ever touched the
+  // registry (a non-empty spool, or a batch applied or failed) — a plain
+  // static server keeps its dashboard uncluttered.
+  const Rows live = LiveRows();
+  if (live[0].second != "0" || live[1].second != "0" ||
+      live[2].second != "0") {
     body += "<h2>live ingest</h2><table>\n";
-    row("spool_depth", std::to_string(live_depth));
-    row("batches_applied", std::to_string(live_applied));
-    row("batches_failed", std::to_string(live_failed));
-    row("swap_staleness_ms",
-        std::to_string(
-            registry.GetGauge(obs::kIngestSwapStalenessMs)->Value()));
+    for (const auto& [key, value] : live) row(key, value);
     const obs::Histogram::Snapshot apply_snap =
-        registry.GetHistogram(obs::kIngestApplyNs, obs::IngestApplyNsBounds())
+        obs::Registry::Global()
+            .GetHistogram(obs::kIngestApplyNs, obs::IngestApplyNsBounds())
             ->GetSnapshot();
     row("mean_apply_ms",
         StringPrintf("%.1f", apply_snap.count > 0
@@ -478,10 +467,9 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
         obs::HistogramQuantile(snap, 0.5), obs::HistogramQuantile(snap, 0.99));
   };
   latency_row("all", request_latency_us_);
-  latency_row("user", user_latency_us_);
-  latency_row("edge", edge_latency_us_);
-  latency_row("batch", batch_latency_us_);
-  latency_row("other", other_latency_us_);
+  for (int i = 0; i < kNumEndpoints; ++i) {
+    latency_row(kEndpointNames[i], endpoints_[i].latency);
+  }
   body += "</table>\n";
 
   body +=
@@ -593,16 +581,20 @@ HttpResponse ModelServer::Handle(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse ModelServer::HandleTraced(const HttpRequest& request,
-                                       obs::RequestTrace* trace) {
-  requests_total_->Add(1);
-  return Route(request, trace);
-}
-
 void ModelServer::FinishRequest(const HttpRequest& request,
                                 const HttpResponse& response,
                                 obs::RequestTrace& trace) {
   trace.Finish();  // idempotent; the socket path already finished it
+  // Counts feed /statsz, /statusz and /metricsz alike, so they are never
+  // gated: the three pages agree with obs disabled too.
+  const EndpointSeries& series = endpoints_[EndpointSlot(trace.endpoint())];
+  requests_total_->Add(1);
+  if (series.requests != nullptr) series.requests->Add(1);
+  const bool error = response.status >= 400;
+  if (error) {
+    trace.set_outcome("error");
+    series.errors->Add(1);
+  }
   if (obs::Enabled()) {
     const int64_t total_us = trace.total_ns() / 1000;
     request_latency_us_->Record(total_us);
@@ -610,21 +602,7 @@ void ModelServer::FinishRequest(const HttpRequest& request,
       const int64_t ns = trace.stage_ns(static_cast<obs::RequestStage>(s));
       if (ns > 0) stage_ns_total_[s]->Add(static_cast<uint64_t>(ns));
     }
-    const std::string_view endpoint = trace.endpoint();
-    if (response.status >= 400) {
-      trace.set_outcome("error");
-      obs::Counter* errors = other_errors_total_;
-      if (endpoint == "user") errors = user_errors_total_;
-      else if (endpoint == "edge") errors = edge_errors_total_;
-      else if (endpoint == "batch") errors = batch_errors_total_;
-      errors->Add(1);
-    } else {
-      obs::Histogram* latency = other_latency_us_;
-      if (endpoint == "user") latency = user_latency_us_;
-      else if (endpoint == "edge") latency = edge_latency_us_;
-      else if (endpoint == "batch") latency = batch_latency_us_;
-      latency->Record(total_us);
-    }
+    if (!error) series.latency->Record(total_us);
     if (options_.slow_request_us > 0 && total_us >= options_.slow_request_us) {
       slow_requests_total_->Add(1);
       slow_ring_.Push(obs::MakeRecord(trace, request.method, request.target));
@@ -633,8 +611,8 @@ void ModelServer::FinishRequest(const HttpRequest& request,
   if (options_.access_log) WriteAccessLog(request, trace);
 }
 
-HttpResponse ModelServer::Route(const HttpRequest& request,
-                                obs::RequestTrace* trace) {
+HttpResponse ModelServer::HandleTraced(const HttpRequest& request,
+                                       obs::RequestTrace* trace) {
   const std::string& target = request.target;
   std::string path = target;
   std::string query;
@@ -687,8 +665,7 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
   if (path.rfind(kUserPrefix, 0) == 0) {
     trace->set_endpoint("user");
     if (request.method != "GET") {
-      errors_.fetch_add(1);
-      return ErrorResponse(405, "use GET");
+        return ErrorResponse(405, "use GET");
     }
     obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
     return HandleUser(*published->model,
@@ -697,8 +674,7 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
   if (path.rfind(kEdgePrefix, 0) == 0) {
     trace->set_endpoint("edge");
     if (request.method != "GET") {
-      errors_.fetch_add(1);
-      return ErrorResponse(405, "use GET");
+        return ErrorResponse(405, "use GET");
     }
     obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
     return HandleEdge(*published->model,
@@ -707,12 +683,10 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
   if (path == "/v1/batch") {
     trace->set_endpoint("batch");
     if (request.method != "POST") {
-      errors_.fetch_add(1);
-      return ErrorResponse(405, "use POST");
+        return ErrorResponse(405, "use POST");
     }
     return HandleBatch(*published->model, request, trace);
   }
-  errors_.fetch_add(1);
   return ErrorResponse(404, "unknown endpoint " + path);
 }
 

@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "engine/thread_pool.h"
@@ -20,6 +22,9 @@
 
 namespace mlp {
 namespace serve {
+
+/// Requests answered by every ModelServer in the process.
+inline constexpr char kServeRequestsTotal[] = "serve_requests_total";
 
 /// Server knobs (the `mlpctl serve` flags map 1:1 onto these).
 struct ServeOptions {
@@ -97,26 +102,21 @@ class ModelServer {
   /// "model_generation" so operators can observe ingest swaps land.
   uint64_t model_generation() const;
 
-  uint64_t requests_served() const { return http_.requests_served(); }
-  uint64_t connections_accepted() const {
-    return http_.connections_accepted();
-  }
-
   /// The request router — exposed so tests can exercise routing and
   /// rendering without sockets. Creates a local RequestTrace and runs the
   /// full HandleTraced + FinishRequest pipeline (histograms, access log,
   /// slow ring), minus the socket-level parse/write stages.
   HttpResponse Handle(const HttpRequest& request);
 
-  /// The traced request path: counts the request, routes it, and lets each
-  /// layer attribute its stages into `*trace` (never null). The HTTP
-  /// server calls this as its handler.
+  /// The traced request path: routes the request, labels the trace with
+  /// endpoint/generation, and lets each layer attribute its stages into
+  /// `*trace` (never null). The HTTP server calls this as its handler.
   HttpResponse HandleTraced(const HttpRequest& request,
                             obs::RequestTrace* trace);
-  /// Completion hook: finishes the trace (idempotent), records the
-  /// per-endpoint latency histograms, stage counters and error
-  /// counters, captures slow requests into the /debug/slowz ring, and
-  /// emits the access-log line.
+  /// Completion hook: finishes the trace (idempotent), counts the request
+  /// and its errors by endpoint (the one place requests are counted), and,
+  /// with obs enabled, records the latency histograms, stage counters and
+  /// /debug/slowz ring. Emits the access-log line.
   void FinishRequest(const HttpRequest& request, const HttpResponse& response,
                      obs::RequestTrace& trace);
 
@@ -127,6 +127,16 @@ class ModelServer {
     std::shared_ptr<const ReadModel> model;
     uint64_t generation = 1;
   };
+
+  /// One endpoint's registry series: user, edge, batch, then "other"
+  /// (health, stats pages, unknown paths), which counts no requests.
+  struct EndpointSeries {
+    obs::Counter* requests = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Histogram* latency = nullptr;
+  };
+  static constexpr int kNumEndpoints = 4;
+  using Rows = std::vector<std::pair<std::string, std::string>>;
 
   std::shared_ptr<const Published> Pin() const;
 
@@ -141,9 +151,11 @@ class ModelServer {
   HttpResponse HandleMetrics(const Published& published);
   HttpResponse HandleStatusz(const Published& published);
   HttpResponse HandleSlowz();
-  /// The actual router; HandleTraced() wraps it with request counting and
-  /// labels the trace with endpoint/generation.
-  HttpResponse Route(const HttpRequest& request, obs::RequestTrace* trace);
+  /// Sets this server's gauges (queue depth, generation, staleness) and the
+  /// process RSS gauges just before a page renders them.
+  void UpdateGauges(const Published& published);
+  /// The server rows /statsz and /statusz share, read from the registry.
+  Rows ServerRows(const Published& published);
   /// Appends one structured JSON access-log line for a finished request.
   void WriteAccessLog(const HttpRequest& request,
                       const obs::RequestTrace& trace);
@@ -160,11 +172,6 @@ class ModelServer {
   HttpServer http_;
   std::atomic<bool> stopped_{false};
 
-  std::atomic<uint64_t> user_queries_{0};
-  std::atomic<uint64_t> edge_queries_{0};
-  std::atomic<uint64_t> batch_queries_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> swaps_{0};
   std::chrono::steady_clock::time_point start_time_;
   /// steady_clock ns of the last model publish (Start or SwapReadModel) —
   /// deliberately not obs::NowNs(), so /statusz staleness survives
@@ -182,16 +189,10 @@ class ModelServer {
   // Registry-owned handles (process-lifetime; see src/obs/README.md).
   obs::Counter* requests_total_;
   obs::Histogram* request_latency_us_;
-  // Per-endpoint latency histograms (error responses are counted, not
-  // histogrammed).
-  obs::Histogram* user_latency_us_;
-  obs::Histogram* edge_latency_us_;
-  obs::Histogram* batch_latency_us_;
-  obs::Histogram* other_latency_us_;
-  obs::Counter* user_errors_total_;
-  obs::Counter* edge_errors_total_;
-  obs::Counter* batch_errors_total_;
-  obs::Counter* other_errors_total_;
+  // Error responses are counted, not histogrammed.
+  EndpointSeries endpoints_[kNumEndpoints];
+  obs::Counter* batch_lookups_total_;
+  obs::Counter* model_swaps_total_;
   obs::Counter* slow_requests_total_;
   // serve_stage_*_ns, indexed by obs::RequestStage.
   obs::Counter* stage_ns_total_[obs::kNumRequestStages];

@@ -1215,6 +1215,115 @@ TEST_F(ModelServerTest, DisabledObsStillServesAndAssignsRequestIds) {
   obs::SetEnabled(true);
 }
 
+// ------------------------------------- one metrics source (the registry)
+
+/// The value on the `name` series line of a /metricsz body; -1 if absent.
+int64_t MetricValue(const std::string& body, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = body.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(body.c_str() + at + key.size());
+}
+
+/// The value cell of the /statusz row `key`; -1 if absent.
+int64_t StatuszValue(const std::string& body, const std::string& key) {
+  const std::string cell = "<tr><td>" + key + "</td><td>";
+  const size_t at = body.find(cell);
+  if (at == std::string::npos) return -1;
+  return std::atoll(body.c_str() + at + cell.size());
+}
+
+/// Sends a fixed request mix through a live server and checks that
+/// /statsz, /statusz and /metricsz move by exactly the mix. Counts are
+/// process-wide, so every check is a delta. One keep-alive connection
+/// keeps it exact: a request is counted when it completes, before the
+/// connection reads the next one.
+void ExpectPagesAgreeOnRequestMix(const synth::SyntheticWorld& world,
+                                  ModelServer& server) {
+  Result<HttpClient> connected = HttpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  HttpClient client = std::move(connected).ValueOrDie();
+  auto get = [&](const std::string& method, const std::string& target,
+                 const std::string& body = "") {
+    Result<HttpResponse> response = client.RoundTrip(method, target, body);
+    EXPECT_TRUE(response.ok()) << target;
+    return response.ok() ? *response : HttpResponse{};
+  };
+  auto stat = [](const HttpResponse& statsz, const char* key) {
+    Result<JsonValue> parsed = ParseJson(statsz.body);
+    const JsonValue* value = parsed.ok() ? parsed->Find(key) : nullptr;
+    EXPECT_NE(value, nullptr) << key;
+    return value != nullptr ? std::atoll(value->string_value.c_str()) : -1;
+  };
+  auto metric_errors = [](const HttpResponse& metricsz) {
+    int64_t sum = 0;
+    for (const char* endpoint : {"user", "edge", "batch", "other"}) {
+      const int64_t value = MetricValue(
+          metricsz.body, StringPrintf("serve_%s_errors_total", endpoint));
+      EXPECT_GE(value, 0) << endpoint;
+      sum += value;
+    }
+    return sum;
+  };
+
+  const HttpResponse statusz_before = get("GET", "/statusz");
+  const HttpResponse stats_before = get("GET", "/statsz");
+  const HttpResponse metrics_before = get("GET", "/metricsz");
+
+  const graph::FollowingEdge& edge = world.graph->following(0);
+  EXPECT_EQ(get("GET", "/v1/user/0").status, 200);
+  EXPECT_EQ(get("GET", "/v1/user/1").status, 200);
+  EXPECT_EQ(get("GET", "/v1/user/999999999").status, 404);
+  EXPECT_EQ(get("GET", "/v1/edge/abc/1").status, 400);
+  EXPECT_EQ(get("POST", "/v1/batch",
+                "{\"users\":[0,1],\"edges\":[[" +
+                    std::to_string(edge.follower) + "," +
+                    std::to_string(edge.friend_user) + "]]}")
+                .status,
+            200);
+  EXPECT_EQ(get("POST", "/v1/user/0", "{}").status, 405);
+  EXPECT_EQ(get("GET", "/no/such/page").status, 404);
+
+  const HttpResponse stats_after = get("GET", "/statsz");
+  const HttpResponse metrics_after = get("GET", "/metricsz");
+  const HttpResponse statusz_after = get("GET", "/statusz");
+
+  auto stats_delta = [&](const char* key) {
+    return stat(stats_after, key) - stat(stats_before, key);
+  };
+  // The 7 mix requests, plus the /statsz and /metricsz scrapes before them
+  // (each counted once it has been answered).
+  EXPECT_EQ(stats_delta("requests_served"), 7 + 2);
+  EXPECT_EQ(stats_delta("user_queries"), 4);  // 2x 200, 404, 405
+  EXPECT_EQ(stats_delta("edge_queries"), 1);
+  EXPECT_EQ(stats_delta("batch_lookups"), 3);
+  const int64_t errors = stats_delta("errors");
+  EXPECT_EQ(errors, 4);  // user 404, edge 400, user 405, unknown path 404
+
+  EXPECT_EQ(StatuszValue(statusz_after.body, "errors") -
+                StatuszValue(statusz_before.body, "errors"),
+            errors);
+  EXPECT_EQ(metric_errors(metrics_after) - metric_errors(metrics_before),
+            errors);
+  // /metricsz's request counter moves with /statsz's: the previous
+  // /metricsz scrape, the 7 mix requests and the /statsz scrape.
+  EXPECT_EQ(MetricValue(metrics_after.body, "serve_requests_total") -
+                MetricValue(metrics_before.body, "serve_requests_total"),
+            1 + 7 + 1);
+}
+
+TEST_F(ModelServerTest, PagesAgreeOnRequestMix) {
+  auto server = StartServer(2);
+  ExpectPagesAgreeOnRequestMix(*world_, *server);
+}
+
+TEST_F(ModelServerTest, PagesAgreeOnRequestMixWithObsDisabled) {
+  obs::SetEnabled(false);
+  auto server = StartServer(2);
+  ExpectPagesAgreeOnRequestMix(*world_, *server);
+  obs::SetEnabled(true);
+}
+
 TEST_F(ModelServerTest, GracefulStopRefusesNewConnections) {
   auto server = StartServer(2);
   int port = server->port();

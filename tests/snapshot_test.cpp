@@ -5,6 +5,7 @@
 // the uninterrupted fit exactly, sequential and sharded.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -219,6 +220,37 @@ TEST_F(CorruptionTest, FutureVersionRejected) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsInvalidArgument());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+// Saves replace the target through a sibling temp file, so a save that
+// fails midway leaves the previous snapshot untouched.
+TEST_F(CorruptionTest, FailedSaveLeavesPreviousSnapshotIntact) {
+  Result<ModelSnapshot> loaded = LoadModelSnapshot(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string tmp = path_ + ".tmp";
+  ASSERT_TRUE(SaveModelSnapshot(path_, *loaded).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(ReadBytes(path_), bytes_);
+
+  // A directory squatting on the temp name makes the write fail; the old
+  // bytes must survive a save of a different snapshot.
+  ModelSnapshot changed = std::move(*loaded);
+  changed.result.alpha += 1.0;
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  Status saved = SaveModelSnapshot(path_, changed);
+  EXPECT_TRUE(saved.IsIOError()) << saved.ToString();
+  EXPECT_EQ(ReadBytes(path_), bytes_);
+  std::filesystem::remove(tmp);
+
+  ASSERT_TRUE(SaveModelSnapshot(path_, changed).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_NE(ReadBytes(path_), bytes_);
 }
 
 TEST(ModelSnapshotTest, MissingFileIsNotFound) {

@@ -185,6 +185,15 @@ live_pipeline() {
     || { log "expected 2 applied batches"; cat "$work/statsz.json"; exit 1; }
   grep -q '"live_batches_failed":"1"' "$work/statsz.json" \
     || { log "expected 1 quarantined batch"; cat "$work/statsz.json"; exit 1; }
+  # /statsz and /metricsz read the same registry: the swap count and the
+  # applied-batch count agree across both pages.
+  grep -q '"model_swaps":"2"' "$work/statsz.json" \
+    || { log "expected 2 model swaps in /statsz"; cat "$work/statsz.json"; exit 1; }
+  "$mlpctl" probe --port "$port" --target /metricsz --out "$work/metricsz.txt"
+  grep -qx 'serve_model_swaps_total 2' "$work/metricsz.txt" \
+    || { log "expected serve_model_swaps_total 2"; cat "$work/metricsz.txt"; exit 1; }
+  grep -qx 'ingest_live_batches_total 2' "$work/metricsz.txt" \
+    || { log "expected ingest_live_batches_total 2"; cat "$work/metricsz.txt"; exit 1; }
   grep -q '"error"' "$work/spool/failed/batch-002/receipt.json" \
     || { log "receipt lacks an error"; exit 1; }
   # The new users serve (both swaps are live).

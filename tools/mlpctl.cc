@@ -1088,9 +1088,13 @@ int ServeLoop(serve::ModelServer& server,
   }
   std::printf("shutting down (draining in-flight requests)...\n");
   server.Stop();
-  std::printf("served %llu requests over %llu connections\n",
-              static_cast<unsigned long long>(server.requests_served()),
-              static_cast<unsigned long long>(server.connections_accepted()));
+  obs::Registry& registry = obs::Registry::Global();
+  std::printf(
+      "served %llu requests over %llu connections\n",
+      static_cast<unsigned long long>(
+          registry.GetCounter(serve::kServeRequestsTotal)->Value()),
+      static_cast<unsigned long long>(
+          registry.GetCounter(serve::kServeConnectionsTotal)->Value()));
   return kExitOk;
 }
 
