@@ -431,6 +431,20 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     return Status::InvalidArgument(
         "base checkpoint sampler state does not match the base input");
   }
+  // The resample runs on the master stream, but the checkpoint still owns
+  // one stream per engine sub-shard (none at one thread) for a later
+  // resume; pass them through only if they fit this thread count.
+  const int threads = std::max(1, config_.num_threads);
+  const size_t shard_streams =
+      threads > 1
+          ? static_cast<size_t>(threads) *
+                engine::ParallelGibbsEngine::kSubShardsPerThread
+          : 0;
+  if (base.shard_rngs.size() != shard_streams) {
+    return Status::InvalidArgument(
+        "shard RNG state count does not match the engine's sub-shard "
+        "streams");
+  }
   // Counts extending is not enough: the chain is remapped edge index by
   // edge index, so the merged graph must carry the base edges as an
   // UNCHANGED prefix (stream::MergeDelta's contract). An interleaved or
@@ -502,6 +516,7 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   activation.history = base.activation.history;
 
   DeltaReport report;
+  report.shards_total = threads;
   report.new_users = merged_users - old_users;
   report.new_following = s_new - s_old;
   report.new_tweeting = k_new - k_old;
@@ -628,8 +643,6 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     report.user_resampled.assign(merged_users, 0);
     report.following_resampled.assign(use_following ? s_new : 0, 0);
     report.tweeting_resampled.assign(use_tweeting ? k_new : 0, 0);
-    report.shards_total =
-        config_.num_threads <= 1 ? 1 : config_.num_threads;
     if (opts.checkpoint_out != nullptr) *opts.checkpoint_out = base;
     if (report_out != nullptr) *report_out = std::move(report);
     return base_result;
@@ -645,7 +658,6 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
                      config.distance_floor_miles);
   GibbsSampler sampler(&merged_input, &config, &space, &random_models,
                        &pow_table);
-  engine::ParallelGibbsEngine engine(&sampler, &merged_input, &config, &space);
 
   // Appended edges draw their seed assignments from a stream derived from
   // (seed, delta shape) — a pure function of the inputs, so ingesting a
@@ -659,82 +671,87 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   obs::EndSpan(obs::Registry::Global().GetCounter(obs::kIngestMigrateNs),
                "ingest_migrate", migrate_start_ns);
 
+  // Resample scope: the cost-weighted partition of the merged graph's
+  // ACTIVE candidate products into one shard per thread, with the touched
+  // users packed into the fewest shards their cost warrants
+  // (GraphSharder::PartitionGrouped; at one thread the single whole-graph
+  // shard). Every user of a shard holding a touched user resamples; the
+  // rest of the world stays in shards the pass never selects.
+  const std::vector<double> cost = engine::GraphSharder::CandidateProductCost(
+      new_graph, space, use_following, use_tweeting);
+  double total_cost = 0.0;
+  double touched_cost = 0.0;
+  for (graph::UserId u = 0; u < merged_users; ++u) {
+    total_cost += cost[u];
+    if (touched[u]) touched_cost += cost[u];
+  }
+  const int touched_shards =
+      total_cost > 0.0
+          ? std::clamp(static_cast<int>(
+                           std::ceil(touched_cost / total_cost * threads)),
+                       1, threads)
+          : 1;
+  report.user_resampled.assign(merged_users, 0);
+  for (const engine::Shard& shard : engine::GraphSharder::PartitionGrouped(
+           new_graph, threads, touched_shards, cost, touched)) {
+    if (std::none_of(shard.users.begin(), shard.users.end(),
+                     [&](graph::UserId u) { return touched[u] != 0; })) {
+      continue;
+    }
+    ++report.shards_touched;
+    for (graph::UserId u : shard.users) report.user_resampled[u] = 1;
+  }
+
+  // Eligibility: a following edge's resample writes BOTH endpoints' ϕ
+  // rows, so it runs only when both endpoints resample — that is the
+  // invariant that keeps unselected users bit-identical. A tweeting edge
+  // needs just its owner.
+  const std::vector<uint8_t>& selected = report.user_resampled;
+  std::vector<graph::EdgeId> following_edges;
+  std::vector<graph::EdgeId> tweeting_edges;
+  report.following_resampled.assign(use_following ? s_new : 0, 0);
+  report.tweeting_resampled.assign(use_tweeting ? k_new : 0, 0);
+  for (graph::EdgeId s = 0; use_following && s < s_new; ++s) {
+    const graph::FollowingEdge& edge = new_graph.following(s);
+    if (selected[edge.follower] && selected[edge.friend_user]) {
+      report.following_resampled[s] = 1;
+      following_edges.push_back(s);
+    }
+  }
+  for (graph::EdgeId k = 0; use_tweeting && k < k_new; ++k) {
+    if (selected[new_graph.tweeting(k).user]) {
+      report.tweeting_resampled[k] = 1;
+      tweeting_edges.push_back(k);
+    }
+  }
+
+  // Restricted sweeps of the EXACT blocked kernels (ingest quality is
+  // bounded by few sweeps, so the exact conditionals are worth their cost)
+  // in ascending edge order on the master stream.
   Pcg32 rng(config.seed, 0x5bd1e995u);
   rng.RestoreState(base.master_rng);
-  MLP_RETURN_NOT_OK(engine.RestoreShardRngStates(base.shard_rngs));
-  // Ownership for the resample pass: the cost-weighted partition over the
-  // merged graph's ACTIVE candidate products, with the touched users
-  // packed into the fewest shards their cost warrants
-  // (GraphSharder::PartitionGrouped). Touched work still spreads across
-  // those dedicated shards' threads, while the rest of the world stays in
-  // shards the resample never selects — the partition is a
-  // parallelization artifact, so concentrating the hot set changes
-  // nothing about the chain's validity, only how little of it reruns.
-  if (engine.num_threads() > 1) {
-    std::vector<double> cost(merged_users, 0.0);
-    if (use_following) {
-      for (graph::EdgeId s = 0; s < s_new; ++s) {
-        const graph::FollowingEdge& edge = new_graph.following(s);
-        cost[edge.follower] +=
-            static_cast<double>(space.view(edge.follower).size()) *
-            static_cast<double>(space.view(edge.friend_user).size());
-      }
-    }
-    if (use_tweeting) {
-      for (graph::EdgeId t = 0; t < k_new; ++t) {
-        const graph::TweetingEdge& edge = new_graph.tweeting(t);
-        cost[edge.user] += static_cast<double>(space.view(edge.user).size());
-      }
-    }
-    double total_cost = 0.0;
-    double touched_cost = 0.0;
-    for (graph::UserId u = 0; u < merged_users; ++u) {
-      total_cost += cost[u];
-      if (touched[u]) touched_cost += cost[u];
-    }
-    const int threads = engine.num_threads();
-    const int touched_shards =
-        total_cost > 0.0
-            ? std::clamp(static_cast<int>(std::ceil(
-                             touched_cost / total_cost * threads)),
-                         1, threads)
-            : 1;
-    MLP_RETURN_NOT_OK(engine.SetPartition(engine::GraphSharder::PartitionGrouped(
-        new_graph, threads, touched_shards, cost, touched)));
-  }
-
-  const std::vector<int> owner = engine.UserShards();
-  const int num_shards =
-      engine.num_threads() <= 1 ? 1 : static_cast<int>(engine.shards().size());
-  std::vector<uint8_t> shard_touched(num_shards, 0);
-  for (graph::UserId u = 0; u < merged_users; ++u) {
-    if (touched[u]) shard_touched[owner[u]] = 1;
-  }
-  std::vector<int> shard_set;
-  for (int k = 0; k < num_shards; ++k) {
-    if (shard_touched[k]) shard_set.push_back(k);
-  }
-  report.shards_total = num_shards;
-  report.shards_touched = static_cast<int32_t>(shard_set.size());
-  MLP_RETURN_NOT_OK(engine.BeginShardResample(shard_set));
-
   {
     obs::ScopedSpan span(
         obs::Registry::Global().GetCounter(obs::kIngestResampleNs),
         "ingest_resample");
-    for (int it = 0; it < opts.delta_burn_sweeps; ++it) {
-      engine.ResampleShards(&rng);
-    }
+    SuffStatsArena* stats = sampler.mutable_stats();
+    GibbsScratch scratch;
+    auto sweep = [&] {
+      for (graph::EdgeId s : following_edges) {
+        sampler.SampleFollowingEdge(s, stats, &scratch, &rng);
+      }
+      for (graph::EdgeId k : tweeting_edges) {
+        sampler.SampleTweetingEdge(k, stats, &scratch, &rng);
+      }
+      sampler.RecordSweepTrace();
+    };
+    for (int it = 0; it < opts.delta_burn_sweeps; ++it) sweep();
     sampler.ResetAccumulators();
     for (int it = 0; it < opts.delta_sampling_sweeps; ++it) {
-      engine.ResampleShards(&rng);
+      sweep();
       sampler.AccumulateSample();
     }
   }
-  report.user_resampled = engine.resample_user_mask();
-  report.following_resampled = engine.resample_following_mask();
-  report.tweeting_resampled = engine.resample_tweeting_mask();
-  engine.EndShardResample();
 
   if (opts.checkpoint_out != nullptr) {
     FitCheckpoint* ck = opts.checkpoint_out;
@@ -744,7 +761,7 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     ck->progress = base.progress;
     sampler.SaveState(&ck->sampler);
     ck->master_rng = rng.SaveState();
-    ck->shard_rngs = engine.ShardRngStates();
+    ck->shard_rngs = base.shard_rngs;
     ck->activation = space.SaveActivation();
   }
 

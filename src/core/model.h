@@ -155,10 +155,13 @@ class MlpModel {
   ///      and `layout_version` is bumped so downstream consumers see one
   ///      ingest generation,
   ///   3. adopts the migrated chain (GibbsSampler::AdoptMigratedChain) and
-  ///      resamples ONLY the shards touched by the delta
-  ///      (ParallelGibbsEngine::ResampleShards) for
-  ///      `options.delta_burn_sweeps + delta_sampling_sweeps` sweeps from
-  ///      the warm state,
+  ///      resamples ONLY the shards touched by the delta — one shard per
+  ///      thread (GraphSharder::PartitionGrouped), the touched users packed
+  ///      into the fewest — for `options.delta_burn_sweeps +
+  ///      delta_sampling_sweeps` sequential sweeps of the exact kernels
+  ///      from the warm state, on the checkpoint's master RNG stream (the
+  ///      sub-shard streams pass through unchanged; their count must fit
+  ///      the thread count),
   ///   4. merges: untouched users/edges keep `base_result`'s rows verbatim
   ///      and their counts bit-identical; touched ones get the refreshed
   ///      posterior.

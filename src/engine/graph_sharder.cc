@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "core/candidate_space.h"
 
 namespace mlp {
 namespace engine {
@@ -88,6 +89,23 @@ std::vector<Shard> GraphSharder::Partition(
     const std::vector<double>& user_cost) {
   MLP_CHECK(static_cast<int>(user_cost.size()) == graph.num_users());
   return LptPartition(graph, num_shards, user_cost);
+}
+
+std::vector<double> GraphSharder::CandidateProductCost(
+    const graph::SocialGraph& graph, const core::CandidateSpace& space,
+    bool use_following, bool use_tweeting) {
+  std::vector<double> cost(graph.num_users(), 0.0);
+  for (graph::EdgeId s = 0; use_following && s < graph.num_following(); ++s) {
+    const graph::FollowingEdge& edge = graph.following(s);
+    cost[edge.follower] +=
+        static_cast<double>(space.view(edge.follower).size()) *
+        static_cast<double>(space.view(edge.friend_user).size());
+  }
+  for (graph::EdgeId t = 0; use_tweeting && t < graph.num_tweeting(); ++t) {
+    const graph::TweetingEdge& edge = graph.tweeting(t);
+    cost[edge.user] += static_cast<double>(space.view(edge.user).size());
+  }
+  return cost;
 }
 
 std::vector<Shard> GraphSharder::PartitionGrouped(

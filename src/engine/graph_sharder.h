@@ -7,6 +7,10 @@
 #include "graph/social_graph.h"
 
 namespace mlp {
+namespace core {
+class CandidateSpace;
+}  // namespace core
+
 namespace engine {
 
 /// One partition of the observation graph: a set of users plus the
@@ -53,12 +57,19 @@ class GraphSharder {
                                       int num_shards,
                                       const std::vector<double>& user_cost);
 
+  /// That candidate-product cost per user, over `space`'s ACTIVE rows:
+  /// |cand_follower|·|cand_friend| per owned following edge (when
+  /// `use_following`) plus |cand| per owned tweet (when `use_tweeting`).
+  static std::vector<double> CandidateProductCost(
+      const graph::SocialGraph& graph, const core::CandidateSpace& space,
+      bool use_following, bool use_tweeting);
+
   /// Two-group variant for streaming ingest: users with `group[u] != 0`
   /// are LPT-packed into shards [0, group_shards) and everyone else into
   /// [group_shards, num_shards), each side balanced by `user_cost` with
   /// the same determinism guarantees. Concentrating the delta-touched set
-  /// into the fewest shards its cost warrants is what makes shard-scoped
-  /// resampling (ParallelGibbsEngine::ResampleShards) skip the rest of
+  /// into the fewest shards its cost warrants is what lets streaming
+  /// ingest's warm resample (core::MlpModel::ApplyDelta) skip the rest of
   /// the world. `group_shards` is clamped to [1, num_shards]; with
   /// group_shards == num_shards the group constraint disappears.
   static std::vector<Shard> PartitionGrouped(

@@ -412,30 +412,17 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
 
 void ParallelGibbsEngine::ReshardByCost() {
   // Per-user cost = the exact update's inner-loop work over the ACTIVE
-  // candidate rows: |cand_i|·|cand_j| per owned following edge, |cand_i|
-  // per owned tweet. (The fast kernels are ~O(|cand_i|) per edge, but the
+  // candidate rows. (The fast kernels are ~O(|cand_i|) per edge, but the
   // candidate-product measure still orders users correctly and the EWMA
   // feedback corrects the residual error within a few sweeps.) Recomputed
   // from scratch each compaction — pruning is rare and the pass is linear
   // in the edge lists.
   const graph::SocialGraph& graph = *input_->graph;
-  std::vector<double> cost(graph.num_users(), 0.0);
-  if (sampler_->UseFollowing()) {
-    for (graph::EdgeId s = 0; s < graph.num_following(); ++s) {
-      const graph::FollowingEdge& edge = graph.following(s);
-      cost[edge.follower] +=
-          static_cast<double>(space_->view(edge.follower).size()) *
-          static_cast<double>(space_->view(edge.friend_user).size());
-    }
-  }
-  if (sampler_->UseTweeting()) {
-    for (graph::EdgeId t = 0; t < graph.num_tweeting(); ++t) {
-      const graph::TweetingEdge& edge = graph.tweeting(t);
-      cost[edge.user] += static_cast<double>(space_->view(edge.user).size());
-    }
-  }
-  shards_ = GraphSharder::Partition(graph, num_threads_ * kSubShardsPerThread,
-                                    cost);
+  shards_ = GraphSharder::Partition(
+      graph, num_threads_ * kSubShardsPerThread,
+      GraphSharder::CandidateProductCost(graph, *space_,
+                                         sampler_->UseFollowing(),
+                                         sampler_->UseTweeting()));
   RebuildTouchSets();
   ResetSchedule();
 }
@@ -468,218 +455,6 @@ void ParallelGibbsEngine::OnActivationRestored() {
   if (space_ != nullptr && space_->layout_version() > 0 && num_threads_ > 1) {
     ReshardByCost();
   }
-}
-
-std::vector<int> ParallelGibbsEngine::UserShards() const {
-  std::vector<int> owner(input_->graph->num_users(), 0);
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    for (graph::UserId u : shards_[k].users) owner[u] = static_cast<int>(k);
-  }
-  return owner;
-}
-
-Status ParallelGibbsEngine::SetPartition(std::vector<Shard> shards) {
-  if (num_threads_ <= 1) return Status::OK();
-  if (static_cast<int>(shards.size()) != num_threads_) {
-    return Status::InvalidArgument(
-        "partition must have exactly one shard per thread");
-  }
-  if (!IsSynchronized()) {
-    return Status::FailedPrecondition(
-        "cannot repartition with unmerged replica deltas");
-  }
-  size_t users = 0;
-  for (const Shard& shard : shards) users += shard.users.size();
-  if (users != static_cast<size_t>(input_->graph->num_users())) {
-    return Status::InvalidArgument(
-        "partition does not cover every user exactly once");
-  }
-  shards_ = std::move(shards);
-  RebuildTouchSets();
-  ResetSchedule();
-  replicas_fresh_ = false;
-  proposals_stale_ = true;
-  return Status::OK();
-}
-
-Status ParallelGibbsEngine::BeginShardResample(
-    const std::vector<int>& shard_set) {
-  if (!IsSynchronized()) {
-    return Status::FailedPrecondition(
-        "cannot begin a shard resample with unmerged replica deltas");
-  }
-  const int num_shards =
-      num_threads_ <= 1 ? 1 : static_cast<int>(shards_.size());
-  resample_shard_selected_.assign(num_shards, 0);
-  for (int k : shard_set) {
-    if (k < 0 || k >= num_shards) {
-      return Status::InvalidArgument("resample shard index out of range");
-    }
-    resample_shard_selected_[k] = 1;
-  }
-
-  const graph::SocialGraph& graph = *input_->graph;
-  resample_user_mask_.assign(graph.num_users(), 0);
-  if (num_threads_ <= 1) {
-    if (resample_shard_selected_[0]) {
-      resample_user_mask_.assign(graph.num_users(), 1);
-    }
-  } else {
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      if (!resample_shard_selected_[k]) continue;
-      for (graph::UserId u : shards_[k].users) resample_user_mask_[u] = 1;
-    }
-  }
-  resample_users_.clear();
-  for (graph::UserId u = 0; u < graph.num_users(); ++u) {
-    if (resample_user_mask_[u]) resample_users_.push_back(u);
-  }
-
-  // Eligibility: a following edge's resample writes BOTH endpoints' ϕ
-  // rows, so it may only run when both live in selected shards — that is
-  // the invariant that keeps unselected shards bit-identical. Edge lists
-  // are per owning shard so the sweep stays a per-shard loop.
-  resample_following_mask_.assign(
-      sampler_->UseFollowing() ? graph.num_following() : 0, 0);
-  resample_tweeting_mask_.assign(
-      sampler_->UseTweeting() ? graph.num_tweeting() : 0, 0);
-  resample_following_.assign(num_shards, {});
-  resample_tweeting_.assign(num_shards, {});
-  const std::vector<int> owner =
-      num_threads_ <= 1 ? std::vector<int>(graph.num_users(), 0)
-                        : UserShards();
-  if (sampler_->UseFollowing()) {
-    for (graph::EdgeId s = 0; s < graph.num_following(); ++s) {
-      const graph::FollowingEdge& edge = graph.following(s);
-      if (resample_user_mask_[edge.follower] &&
-          resample_user_mask_[edge.friend_user]) {
-        resample_following_mask_[s] = 1;
-        resample_following_[owner[edge.follower]].push_back(s);
-      }
-    }
-  }
-  if (sampler_->UseTweeting()) {
-    for (graph::EdgeId t = 0; t < graph.num_tweeting(); ++t) {
-      const graph::TweetingEdge& edge = graph.tweeting(t);
-      if (resample_user_mask_[edge.user]) {
-        resample_tweeting_mask_[t] = 1;
-        resample_tweeting_[owner[edge.user]].push_back(t);
-      }
-    }
-  }
-  resample_active_ = true;
-  return Status::OK();
-}
-
-void ParallelGibbsEngine::ResampleShards(Pcg32* rng) {
-  MLP_CHECK(resample_active_);
-  if (num_threads_ <= 1) {
-    core::SuffStatsArena* stats = sampler_->mutable_stats();
-    core::GibbsScratch scratch;
-    for (graph::EdgeId s : resample_following_[0]) {
-      sampler_->SampleFollowingEdge(s, stats, &scratch, rng);
-    }
-    for (graph::EdgeId t : resample_tweeting_[0]) {
-      sampler_->SampleTweetingEdge(t, stats, &scratch, rng);
-    }
-    sampler_->RecordSweepTrace();
-    return;
-  }
-
-  // Refresh and merge ONLY the selected shards' deltas, and within them
-  // only the selected users' ϕ rows: the restricted sweep's kernels read
-  // and write exactly those rows (eligible edges have BOTH endpoints
-  // selected), so everything else in a replica may stay stale without
-  // ever being observed. The venue rectangle is location×venue (a kernel
-  // may read/write any location's row), so it refreshes and merges in
-  // full — but its size is independent of the user population. Net:
-  // per-sweep traffic scales with the delta's touched rows + the venue
-  // rectangle, not with the whole world times the thread count.
-  const core::SuffStatsLayout& layout = sampler_->layout();
-  const core::SuffStatsArena& global_now = sampler_->stats();
-  auto copy_selected = [&](const core::SuffStatsArena& src,
-                           core::SuffStatsArena* dst) {
-    if (dst->layout != &layout) dst->Reset(&layout);
-    for (graph::UserId u : resample_users_) {
-      const int64_t begin = layout.phi_offset[u];
-      const int64_t end = layout.phi_offset[u + 1];
-      std::copy(src.phi.begin() + begin, src.phi.begin() + end,
-                dst->phi.begin() + begin);
-      dst->phi_total[u] = src.phi_total[u];
-    }
-    dst->venue_counts = src.venue_counts;
-    dst->venue_counts_total = src.venue_counts_total;
-  };
-  copy_selected(global_now, &snapshot_);
-
-  // The selected shards can outnumber the worker slots (the ingest
-  // partition is per-thread today, but nothing here should depend on
-  // that), so group them onto slots round-robin in ascending shard order;
-  // each slot sweeps its shards sequentially against one replica. With at
-  // most one shard per slot this degenerates to exactly the historical
-  // one-task-per-shard dispatch.
-  std::vector<std::vector<int>> slot_shards(num_threads_);
-  int next_slot = 0;
-  for (size_t k = 0; k < resample_shard_selected_.size(); ++k) {
-    if (!resample_shard_selected_[k]) continue;
-    slot_shards[next_slot++ % num_threads_].push_back(static_cast<int>(k));
-  }
-  for (int i = 0; i < num_threads_; ++i) {
-    if (slot_shards[i].empty()) continue;
-    copy_selected(snapshot_, &replicas_[i]);
-    pool_->Submit([this, i, shard_list = slot_shards[i]] {
-      core::SuffStatsArena* replica = &replicas_[i];
-      core::GibbsScratch* scratch = &scratches_[i];
-      for (int k : shard_list) {
-        Pcg32* shard_rng = &shard_rngs_[k];
-        for (graph::EdgeId s : resample_following_[k]) {
-          sampler_->SampleFollowingEdge(s, replica, scratch, shard_rng);
-        }
-        for (graph::EdgeId t : resample_tweeting_[k]) {
-          sampler_->SampleTweetingEdge(t, replica, scratch, shard_rng);
-        }
-      }
-    });
-  }
-  pool_->Wait();
-  // Force-merge every restricted sweep: the ingest driver reads the global
-  // counts (AccumulateSample) between sweeps. Deltas apply in slot order,
-  // restricted to the selected rows (a replica's unselected rows are stale
-  // and must never contribute).
-  core::SuffStatsArena* global = sampler_->mutable_stats();
-  for (int i = 0; i < num_threads_; ++i) {
-    if (slot_shards[i].empty()) continue;
-    const core::SuffStatsArena& replica = replicas_[i];
-    for (graph::UserId u : resample_users_) {
-      const int64_t begin = layout.phi_offset[u];
-      const int64_t end = layout.phi_offset[u + 1];
-      for (int64_t j = begin; j < end; ++j) {
-        global->phi[j] += replica.phi[j] - snapshot_.phi[j];
-      }
-      global->phi_total[u] += replica.phi_total[u] - snapshot_.phi_total[u];
-    }
-    for (size_t j = 0; j < global->venue_counts.size(); ++j) {
-      global->venue_counts[j] +=
-          replica.venue_counts[j] - snapshot_.venue_counts[j];
-    }
-    for (size_t j = 0; j < global->venue_counts_total.size(); ++j) {
-      global->venue_counts_total[j] +=
-          replica.venue_counts_total[j] - snapshot_.venue_counts_total[j];
-    }
-  }
-  // The replicas diverged from the (now updated) global counts; make sure
-  // a later full RunSweep re-snapshots everything before using them.
-  replicas_fresh_ = false;
-  proposals_stale_ = true;
-  sweeps_since_sync_ = 0;
-  sampler_->RecordSweepTrace();
-}
-
-void ParallelGibbsEngine::EndShardResample() {
-  resample_active_ = false;
-  resample_shard_selected_.clear();
-  resample_following_.clear();
-  resample_tweeting_.clear();
 }
 
 void ParallelGibbsEngine::Synchronize() {

@@ -120,57 +120,6 @@ class ParallelGibbsEngine {
   /// unit-cost partition — and its bit-exact-resume guarantee — untouched).
   void OnActivationRestored();
 
-  // ---- shard-scoped warm resampling (streaming ingest, src/stream/) ----
-
-  /// Shard index owning each user under the current partition. In the
-  /// sequential path there is exactly one conceptual shard (all zeros).
-  std::vector<int> UserShards() const;
-
-  /// Replaces the partition (parallel path only; no-op when sequential).
-  /// Streaming ingest uses this with GraphSharder::PartitionGrouped to
-  /// pack the delta-touched users into the fewest shards their sampling
-  /// cost warrants — the smaller the selected-shard closure, the less
-  /// ResampleShards has to sweep. Must cover every user exactly once with
-  /// exactly num_threads() shards, at a merged barrier. (The ingest
-  /// partition is deliberately coarser than the sweep path's sub-shards:
-  /// the selected-closure math wants few, tightly packed shards.)
-  Status SetPartition(std::vector<Shard> shards);
-
-  /// Prepares a shard-scoped resample pass: selects the shards in
-  /// `shard_set` (indices into shards(); {0} is the whole graph when
-  /// sequential) and precomputes the owned edges eligible for resampling.
-  /// A following edge resamples BOTH endpoints' counts, so it is eligible
-  /// only when follower AND friend live in selected shards; a tweeting
-  /// edge needs just its owner. Everything else — unselected shards'
-  /// counts, assignments, and cross-boundary edges — is left bit-identical
-  /// by the pass. The per-user/per-edge eligibility masks are exposed
-  /// below so the caller can merge results accordingly. Fails on an
-  /// out-of-range shard index or when accumulators hold unmerged deltas.
-  Status BeginShardResample(const std::vector<int>& shard_set);
-
-  /// One restricted Gibbs sweep over the shards selected by
-  /// BeginShardResample, using the EXACT blocked kernels (ingest quality
-  /// is bounded by few restricted sweeps, so the exact conditionals are
-  /// worth their cost), with deltas force-merged at the end of the call so
-  /// the caller can read (and accumulate from) fresh global counts between
-  /// sweeps. Do not interleave with RunSweep/MaybePrune while a pass is
-  /// open.
-  void ResampleShards(Pcg32* rng);
-
-  /// Ends the pass; RunSweep sweeps the full graph again.
-  void EndShardResample();
-
-  bool resample_active() const { return resample_active_; }
-  const std::vector<uint8_t>& resample_user_mask() const {
-    return resample_user_mask_;
-  }
-  const std::vector<uint8_t>& resample_following_mask() const {
-    return resample_following_mask_;
-  }
-  const std::vector<uint8_t>& resample_tweeting_mask() const {
-    return resample_tweeting_mask_;
-  }
-
   // ---- checkpoint / warm-start API (used by core::MlpModel) ----
 
   /// Exact positions of the per-sub-shard RNG streams (empty when
@@ -186,14 +135,11 @@ class ParallelGibbsEngine {
   /// the sequential path).
   Status RestoreShardRngStates(const std::vector<Pcg32State>& states);
 
-  int num_threads() const { return num_threads_; }
-  const std::vector<Shard>& shards() const { return shards_; }
-
   /// Exact allocated bytes of the engine's own buffers: per-worker replica
-  /// + accumulator arenas, the proposal tables and the resample-pass
-  /// snapshot arena (zero for the sequential path, which owns none).
+  /// + accumulator arenas and the proposal tables (zero for the sequential
+  /// path, which owns none).
   int64_t AccountedBytes() const {
-    int64_t total = proposals_.AccountedBytes() + snapshot_.AccountedBytes();
+    int64_t total = proposals_.AccountedBytes();
     for (const auto& r : replicas_) total += r.AccountedBytes();
     for (const auto& a : delta_accs_) total += a.AccountedBytes();
     return total;
@@ -211,7 +157,7 @@ class ParallelGibbsEngine {
   /// Cold refresh: every replica copies the full global counts and every
   /// accumulator resets to zero over the current layout. Needed after
   /// anything that invalidates replica values wholesale (initialize,
-  /// compaction, restore, repartition, resample pass).
+  /// compaction, restore, repartition).
   void RefreshReplicas();
   /// The sync barrier: one parallel region-sliced pass that merges all
   /// accumulators into the global counts and refreshes all replicas, then
@@ -245,10 +191,10 @@ class ParallelGibbsEngine {
 
   std::unique_ptr<ThreadPool> pool_;    // null in the sequential path
   std::vector<Shard> shards_;           // sub-shards (work-queue granularity)
-  /// One persistent stream per sub-shard SLOT (kSubShardsPerThread ×
-  /// num_threads, fixed for the engine's lifetime even when SetPartition
-  /// installs a coarser partition): the chain consumes stream k exactly for
-  /// sub-shard k, so determinism is independent of scheduling.
+  /// One persistent stream per sub-shard (kSubShardsPerThread ×
+  /// num_threads, fixed for the engine's lifetime; a cost reshard moves
+  /// users between sub-shards, never streams): the chain consumes stream k
+  /// exactly for sub-shard k, so determinism is independent of scheduling.
   std::vector<Pcg32> shard_rngs_;
   std::vector<std::vector<graph::UserId>> touch_users_;  // per sub-shard
 
@@ -259,7 +205,6 @@ class ParallelGibbsEngine {
   std::vector<core::ProposalBuildScratch> proposal_scratches_;
 
   core::ProposalTables proposals_;
-  core::SuffStatsArena snapshot_;       // resample-pass baseline counts
   int sweeps_since_sync_ = 0;
   bool replicas_fresh_ = false;
   bool proposals_stale_ = true;
@@ -275,19 +220,6 @@ class ParallelGibbsEngine {
   /// each slot is written only by the worker occupying it. Barrier wait is
   /// derived from it: threads × parallel-section wall − Σ busy.
   std::vector<int64_t> thread_busy_ns_;
-
-  // Shard-scoped resample pass state (BeginShardResample..End).
-  bool resample_active_ = false;
-  std::vector<uint8_t> resample_shard_selected_;    // per shard
-  std::vector<uint8_t> resample_user_mask_;         // per user
-  std::vector<uint8_t> resample_following_mask_;    // per following edge
-  std::vector<uint8_t> resample_tweeting_mask_;     // per tweeting edge
-  std::vector<std::vector<graph::EdgeId>> resample_following_;  // per shard
-  std::vector<std::vector<graph::EdgeId>> resample_tweeting_;   // per shard
-  /// Users of the selected shards (ascending) — the only ϕ rows the
-  /// restricted sweep reads or writes, so replica refresh/merge copies
-  /// exactly these row ranges instead of the whole arena.
-  std::vector<graph::UserId> resample_users_;
 };
 
 }  // namespace engine

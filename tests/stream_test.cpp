@@ -5,6 +5,8 @@
 //   - ingest-then-save-then-load equals ingest-in-memory byte for byte,
 //   - shards the delta never touched keep bit-identical counts and chain
 //     state (the core locality guarantee of shard-scoped resampling),
+//   - a base checkpoint whose sub-shard RNG streams do not fit its thread
+//     count is rejected,
 //   - serve::ModelServer::SwapReadModel atomically publishes the
 //     post-ingest view to a running server.
 
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/model.h"
 #include "io/model_snapshot.h"
 #include "serve/model_server.h"
@@ -213,59 +216,62 @@ TEST(DeltaIngestTest, EmptyDeltaIsBitIdenticalNoOp) {
 TEST(DeltaIngestTest, IngestOfLoadedSnapshotMatchesInMemory) {
   synth::SyntheticWorld world = TestWorld(200, 42);
   FitHarness harness(world);
-  core::FitCheckpoint checkpoint;
-  core::MlpResult result =
-      FitBase(harness.input, SmallConfig(), &checkpoint);
   DeltaBatch delta = SmallDelta(*world.graph);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::FitCheckpoint checkpoint;
+    core::MlpResult result =
+        FitBase(harness.input, SmallConfig(threads), &checkpoint);
 
-  // In memory: ingest straight from the fit's checkpoint.
-  Result<IngestOutput> direct =
-      ApplyDeltaBatch(harness.input, checkpoint, result, delta);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    // In memory: ingest straight from the fit's checkpoint.
+    Result<IngestOutput> direct =
+        ApplyDeltaBatch(harness.input, checkpoint, result, delta);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
-  // Through disk: save the base model, load it back, ingest the loaded
-  // checkpoint/result.
-  const std::string base_path = TempPath("roundtrip_base.snap");
-  ASSERT_TRUE(io::SaveModelSnapshot(
-                  base_path,
-                  io::MakeModelSnapshot(harness.input, checkpoint, result))
-                  .ok());
-  Result<io::ModelSnapshot> loaded = io::LoadModelSnapshot(base_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Result<IngestOutput> via_disk = ApplyDeltaBatch(
-      harness.input, loaded->checkpoint, loaded->result, delta);
-  ASSERT_TRUE(via_disk.ok()) << via_disk.status().ToString();
+    // Through disk: save the base model, load it back, ingest the loaded
+    // checkpoint/result.
+    const std::string base_path = TempPath("roundtrip_base.snap");
+    ASSERT_TRUE(io::SaveModelSnapshot(
+                    base_path,
+                    io::MakeModelSnapshot(harness.input, checkpoint, result))
+                    .ok());
+    Result<io::ModelSnapshot> loaded = io::LoadModelSnapshot(base_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Result<IngestOutput> via_disk = ApplyDeltaBatch(
+        harness.input, loaded->checkpoint, loaded->result, delta);
+    ASSERT_TRUE(via_disk.ok()) << via_disk.status().ToString();
 
-  ExpectIdenticalResults(direct->result, via_disk->result);
+    ExpectIdenticalResults(direct->result, via_disk->result);
 
-  // And the ingested models serialize to the same bytes — including after
-  // an ingest-save-load-save loop (the snapshot format is stable under
-  // re-serialization).
-  core::ModelInput direct_input = MergedInput(harness.input, *direct);
-  core::ModelInput disk_input = MergedInput(harness.input, *via_disk);
-  const std::string direct_path = TempPath("roundtrip_direct.snap");
-  const std::string disk_path = TempPath("roundtrip_disk.snap");
-  ASSERT_TRUE(io::SaveModelSnapshot(
-                  direct_path,
-                  io::MakeModelSnapshot(direct_input, direct->checkpoint,
-                                        direct->result))
-                  .ok());
-  ASSERT_TRUE(io::SaveModelSnapshot(
-                  disk_path,
-                  io::MakeModelSnapshot(disk_input, via_disk->checkpoint,
-                                        via_disk->result))
-                  .ok());
-  EXPECT_EQ(FileBytes(direct_path), FileBytes(disk_path));
+    // And the ingested models serialize to the same bytes — including after
+    // an ingest-save-load-save loop (the snapshot format is stable under
+    // re-serialization).
+    core::ModelInput direct_input = MergedInput(harness.input, *direct);
+    core::ModelInput disk_input = MergedInput(harness.input, *via_disk);
+    const std::string direct_path = TempPath("roundtrip_direct.snap");
+    const std::string disk_path = TempPath("roundtrip_disk.snap");
+    ASSERT_TRUE(io::SaveModelSnapshot(
+                    direct_path,
+                    io::MakeModelSnapshot(direct_input, direct->checkpoint,
+                                          direct->result))
+                    .ok());
+    ASSERT_TRUE(io::SaveModelSnapshot(
+                    disk_path,
+                    io::MakeModelSnapshot(disk_input, via_disk->checkpoint,
+                                          via_disk->result))
+                    .ok());
+    EXPECT_EQ(FileBytes(direct_path), FileBytes(disk_path));
 
-  Result<io::ModelSnapshot> reloaded = io::LoadModelSnapshot(direct_path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  const std::string resaved_path = TempPath("roundtrip_resaved.snap");
-  ASSERT_TRUE(io::SaveModelSnapshot(
-                  resaved_path,
-                  io::MakeModelSnapshot(direct_input, reloaded->checkpoint,
-                                        reloaded->result))
-                  .ok());
-  EXPECT_EQ(FileBytes(direct_path), FileBytes(resaved_path));
+    Result<io::ModelSnapshot> reloaded = io::LoadModelSnapshot(direct_path);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    const std::string resaved_path = TempPath("roundtrip_resaved.snap");
+    ASSERT_TRUE(io::SaveModelSnapshot(
+                    resaved_path,
+                    io::MakeModelSnapshot(direct_input, reloaded->checkpoint,
+                                          reloaded->result))
+                    .ok());
+    EXPECT_EQ(FileBytes(direct_path), FileBytes(resaved_path));
+  }
 }
 
 // ------------------------------------------- untouched-shard bit-identity
@@ -342,9 +348,40 @@ TEST(DeltaIngestTest, UntouchedShardsAreBitIdentical) {
               ingested->checkpoint.sampler.z_idx[k]);
   }
 
+  // The resample runs on the master stream, so the engine's sub-shard
+  // streams pass through unchanged.
+  ASSERT_EQ(ingested->checkpoint.shard_rngs.size(),
+            checkpoint.shard_rngs.size());
+  for (size_t k = 0; k < checkpoint.shard_rngs.size(); ++k) {
+    const Pcg32State& before = checkpoint.shard_rngs[k];
+    const Pcg32State& after = ingested->checkpoint.shard_rngs[k];
+    EXPECT_EQ(before.state, after.state) << "stream " << k;
+    EXPECT_EQ(before.inc, after.inc) << "stream " << k;
+    EXPECT_EQ(before.has_cached_normal, after.has_cached_normal);
+    EXPECT_EQ(before.cached_normal, after.cached_normal);
+  }
+
   // The ingested universe advertises a new layout generation.
   EXPECT_EQ(ingested->checkpoint.activation.layout_version,
             checkpoint.activation.layout_version + 1);
+}
+
+// A base checkpoint must carry one RNG stream per engine sub-shard of its
+// thread count; a short one is rejected, not silently resized.
+TEST(DeltaIngestTest, ShardStreamCountMismatchRejected) {
+  synth::SyntheticWorld world = TestWorld(150, 5);
+  FitHarness harness(world);
+  core::FitCheckpoint checkpoint;
+  core::MlpResult result =
+      FitBase(harness.input, SmallConfig(/*threads=*/4), &checkpoint);
+  ASSERT_FALSE(checkpoint.shard_rngs.empty());
+  checkpoint.shard_rngs.pop_back();
+
+  Result<IngestOutput> ingested = ApplyDeltaBatch(
+      harness.input, checkpoint, result, SmallDelta(*world.graph));
+  ASSERT_FALSE(ingested.ok());
+  EXPECT_TRUE(ingested.status().IsInvalidArgument())
+      << ingested.status().ToString();
 }
 
 // ------------------------------------------------------- chained ingests

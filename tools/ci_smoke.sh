@@ -44,6 +44,12 @@ fit_ingest() {
   "$mlpctl" ingest --data "$work/data" --load "$work/model.snap" \
     --delta "$work/delta" --save "$work/model2.snap" \
     --save-data "$work/data2"
+  # Ingest is deterministic end to end: the same delta on the same base
+  # writes the same bytes.
+  "$mlpctl" ingest --data "$work/data" --load "$work/model.snap" \
+    --delta "$work/delta" --save "$work/model2b.snap"
+  cmp "$work/model2.snap" "$work/model2b.snap" \
+    || { log "repeated ingest wrote a different snapshot"; exit 1; }
   "$mlpctl" eval --data "$work/data2" --load "$work/model2.snap"
   log "fit_ingest OK"
 }

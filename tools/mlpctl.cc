@@ -882,13 +882,18 @@ volatile std::sig_atomic_t g_shutdown_requested = 0;
 void HandleShutdownSignal(int) { g_shutdown_requested = 1; }
 
 // --selfcheck: a real socket round trip against the just-started server,
-// validating status codes, JSON well-formedness and snapshot consistency.
-// This is the CI smoke's curl replacement (cmake/serve_smoke.cmake).
+// validating status codes, JSON well-formedness and parity with the served
+// model. Both backings run the same probes, taken from the read model
+// itself (ExampleEdge), and the user body must equal its pre-rendered
+// fragment. With the heap backing `snapshot` is the fitted model the read
+// model was built from, and the served home must match it too; the mmap
+// backing loads no snapshot and passes nullptr. This is the CI smokes'
+// curl replacement (cmake/serve_smoke.cmake, tools/ci_smoke.sh).
 int RunSelfcheck(const serve::ModelServer& server,
-                 const io::ModelSnapshot& snapshot,
-                 const graph::SocialGraph& graph,
-                 const serve::ServeOptions& options) {
+                 const serve::ServeOptions& options,
+                 const io::ModelSnapshot* snapshot) {
   const int port = server.port();
+  const serve::ReadModel& model = *server.model();
   int failures = 0;
   auto check = [&](const char* what, bool ok) {
     std::printf("selfcheck %-28s %s\n", what, ok ? "OK" : "FAIL");
@@ -900,42 +905,39 @@ int RunSelfcheck(const serve::ModelServer& server,
   check("/healthz", health.ok() && health->status == 200 &&
                         serve::ParseJson(health->body).ok());
 
-  // A user with a non-empty profile (every fitted snapshot has one).
-  graph::UserId probe_user = 0;
-  for (graph::UserId u = 0;
-       u < static_cast<graph::UserId>(snapshot.result.profiles.size()); ++u) {
-    if (!snapshot.result.profiles[u].entries().empty()) {
-      probe_user = u;
-      break;
-    }
-  }
-  Result<serve::HttpResponse> user = serve::HttpFetch(
-      "127.0.0.1", port, "GET", "/v1/user/" + std::to_string(probe_user));
-  bool user_ok = user.ok() && user->status == 200;
-  if (user_ok) {
-    Result<serve::JsonValue> parsed = serve::ParseJson(user->body);
-    user_ok = parsed.ok() && parsed->is_object();
+  // The probe user is the example edge's follower (user 0 when edgeless).
+  graph::UserId src = 0, dst = 0;
+  const bool has_edge = model.ExampleEdge(&src, &dst);
+  if (model.num_users() > 0) {
+    Result<serve::HttpResponse> user = serve::HttpFetch(
+        "127.0.0.1", port, "GET", "/v1/user/" + std::to_string(src));
+    bool user_ok = user.ok() && user->status == 200;
     if (user_ok) {
-      const serve::JsonValue* home = parsed->Find("home");
-      const geo::CityId expected = snapshot.result.home[probe_user];
-      if (expected == geo::kInvalidCity) {
-        user_ok = home != nullptr &&
-                  home->type == serve::JsonValue::Type::kNull;
-      } else {
-        const serve::JsonValue* id =
-            home == nullptr ? nullptr : home->Find("city_id");
-        user_ok = id != nullptr && id->AsInt(-1) == expected;
+      Result<serve::JsonValue> parsed = serve::ParseJson(user->body);
+      user_ok = parsed.ok() && parsed->is_object() &&
+                parsed->Find("user") != nullptr &&
+                parsed->Find("user")->AsInt(-1) == src &&
+                user->body == model.UserJson(src);
+      if (user_ok && snapshot != nullptr) {
+        const serve::JsonValue* home = parsed->Find("home");
+        const geo::CityId expected = snapshot->result.home[src];
+        if (expected == geo::kInvalidCity) {
+          user_ok = home != nullptr &&
+                    home->type == serve::JsonValue::Type::kNull;
+        } else {
+          const serve::JsonValue* id =
+              home == nullptr ? nullptr : home->Find("city_id");
+          user_ok = id != nullptr && id->AsInt(-1) == expected;
+        }
       }
     }
+    check("/v1/user (parity)", user_ok);
   }
-  check("/v1/user (home parity)", user_ok);
 
-  if (graph.num_following() > 0) {
-    const graph::FollowingEdge& edge = graph.following(0);
+  if (has_edge) {
     Result<serve::HttpResponse> edge_response = serve::HttpFetch(
         "127.0.0.1", port, "GET",
-        "/v1/edge/" + std::to_string(edge.follower) + "/" +
-            std::to_string(edge.friend_user));
+        "/v1/edge/" + std::to_string(src) + "/" + std::to_string(dst));
     bool edge_ok = edge_response.ok() && edge_response->status == 200;
     if (edge_ok) {
       Result<serve::JsonValue> parsed = serve::ParseJson(edge_response->body);
@@ -943,9 +945,9 @@ int RunSelfcheck(const serve::ModelServer& server,
     }
     check("/v1/edge", edge_ok);
 
-    std::string body = "{\"users\":[" + std::to_string(probe_user) +
-                       "],\"edges\":[[" + std::to_string(edge.follower) +
-                       "," + std::to_string(edge.friend_user) + "]]}";
+    std::string body = "{\"users\":[" + std::to_string(src) +
+                       "],\"edges\":[[" + std::to_string(src) + "," +
+                       std::to_string(dst) + "]]}";
     Result<serve::HttpResponse> batch =
         serve::HttpFetch("127.0.0.1", port, "POST", "/v1/batch", body);
     bool batch_ok = batch.ok() && batch->status == 200;
@@ -963,7 +965,8 @@ int RunSelfcheck(const serve::ModelServer& server,
       serve::HttpFetch("127.0.0.1", port, "GET", "/statsz?format=csv");
   check("/statsz?format=csv",
         stats.ok() && stats->status == 200 &&
-            stats->body.rfind("stat,value", 0) == 0);
+            stats->body.rfind("stat,value", 0) == 0 &&
+            stats->body.find("mmap_backed") != std::string::npos);
 
   // Prometheus exposition: must carry the request-latency histogram (with
   // cumulative le="..." buckets — earlier requests in this selfcheck have
@@ -1098,89 +1101,6 @@ int ServeLoop(serve::ModelServer& server,
   return kExitOk;
 }
 
-// --selfcheck for the mmap backing: no snapshot or graph is loaded, so the
-// probes come from the read model itself (ExampleEdge / num_users) and the
-// parity check is against the mapped pre-rendered fragment — which is also
-// exactly what the in-memory path would have rendered.
-int RunSelfcheckMmap(const serve::ModelServer& server) {
-  const int port = server.port();
-  const serve::ReadModel& model = *server.model();
-  int failures = 0;
-  auto check = [&](const char* what, bool ok) {
-    std::printf("selfcheck %-28s %s\n", what, ok ? "OK" : "FAIL");
-    if (!ok) ++failures;
-  };
-
-  Result<serve::HttpResponse> health =
-      serve::HttpFetch("127.0.0.1", port, "GET", "/healthz");
-  check("/healthz", health.ok() && health->status == 200 &&
-                        serve::ParseJson(health->body).ok());
-
-  if (model.num_users() > 0) {
-    Result<serve::HttpResponse> user =
-        serve::HttpFetch("127.0.0.1", port, "GET", "/v1/user/0");
-    bool user_ok = user.ok() && user->status == 200;
-    if (user_ok) {
-      Result<serve::JsonValue> parsed = serve::ParseJson(user->body);
-      user_ok = parsed.ok() && parsed->is_object() &&
-                parsed->Find("user") != nullptr &&
-                parsed->Find("user")->AsInt(-1) == 0 &&
-                user->body == model.UserJson(0);
-    }
-    check("/v1/user (mmap parity)", user_ok);
-  }
-
-  graph::UserId src = 0, dst = 0;
-  if (model.ExampleEdge(&src, &dst)) {
-    Result<serve::HttpResponse> edge_response = serve::HttpFetch(
-        "127.0.0.1", port, "GET",
-        "/v1/edge/" + std::to_string(src) + "/" + std::to_string(dst));
-    bool edge_ok = edge_response.ok() && edge_response->status == 200;
-    if (edge_ok) {
-      Result<serve::JsonValue> parsed = serve::ParseJson(edge_response->body);
-      edge_ok = parsed.ok() && parsed->Find("explanation") != nullptr;
-    }
-    check("/v1/edge", edge_ok);
-
-    std::string body = "{\"users\":[0],\"edges\":[[" + std::to_string(src) +
-                       "," + std::to_string(dst) + "]]}";
-    Result<serve::HttpResponse> batch =
-        serve::HttpFetch("127.0.0.1", port, "POST", "/v1/batch", body);
-    bool batch_ok = batch.ok() && batch->status == 200;
-    if (batch_ok) {
-      Result<serve::JsonValue> parsed = serve::ParseJson(batch->body);
-      batch_ok = parsed.ok() && parsed->Find("users") != nullptr &&
-                 parsed->Find("users")->items.size() == 1 &&
-                 parsed->Find("edges") != nullptr &&
-                 parsed->Find("edges")->items.size() == 1;
-    }
-    check("/v1/batch", batch_ok);
-  }
-
-  Result<serve::HttpResponse> stats =
-      serve::HttpFetch("127.0.0.1", port, "GET", "/statsz?format=csv");
-  check("/statsz?format=csv",
-        stats.ok() && stats->status == 200 &&
-            stats->body.rfind("stat,value", 0) == 0 &&
-            stats->body.find("mmap_backed") != std::string::npos);
-
-  Result<serve::HttpResponse> statusz =
-      serve::HttpFetch("127.0.0.1", port, "GET", "/statusz");
-  check("/statusz (dashboard)",
-        statusz.ok() && statusz->status == 200 &&
-            statusz->body.find("p99") != std::string::npos &&
-            statusz->body.find("model_generation") != std::string::npos &&
-            statusz->body.find("seconds_since_last_swap") !=
-                std::string::npos);
-
-  Result<serve::HttpResponse> missing =
-      serve::HttpFetch("127.0.0.1", port, "GET", "/v1/user/999999999");
-  check("404 on unknown user", missing.ok() && missing->status == 404);
-
-  std::printf("selfcheck %s\n", failures == 0 ? "passed" : "FAILED");
-  return failures == 0 ? kExitOk : kExitRuntime;
-}
-
 int CmdServe(const std::map<std::string, std::string>& flags) {
   std::string dir = FlagOr(flags, "data", "");
   std::string load = FlagOr(flags, "load", "");
@@ -1261,7 +1181,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         server.model()->num_users(), server.model()->num_edges(),
         server.port(), options.threads);
     if (selfcheck) {
-      int rc = RunSelfcheckMmap(server);
+      int rc = RunSelfcheck(server, options, /*snapshot=*/nullptr);
       server.Stop();
       return rc;
     }
@@ -1331,7 +1251,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   }
 
   if (selfcheck) {
-    int rc = RunSelfcheck(server, *snapshot, world->data->graph, options);
+    int rc = RunSelfcheck(server, options, &*snapshot);
     if (ingestor != nullptr) ingestor->Stop();
     server.Stop();
     return rc;
