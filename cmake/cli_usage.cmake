@@ -1,8 +1,9 @@
 # Exit-code and usage-message contract of the mlpctl CLI (registered as
 # the `mlpctl_cli_usage` ctest): 2 for a missing/unknown subcommand (global
-# usage printed), 3 for a known subcommand with missing required flags
-# (that subcommand's usage printed) — so wrapper scripts can tell a typo
-# from a bad invocation from a real failure.
+# usage printed), 3 for a known subcommand with missing required flags or
+# a flag its usage does not name (that subcommand's usage printed) — so
+# wrapper scripts can tell a typo from a bad invocation from a real
+# failure.
 #
 # Usage: cmake -DMLPCTL=<path> -P cli_usage.cmake
 
@@ -102,4 +103,25 @@ endif()
 expect_exit(3 probe --port xyz)
 if(NOT last_stderr MATCHES "invalid value 'xyz' for --port")
   message(FATAL_ERROR "bad probe --port value not named in:\n${last_stderr}")
+endif()
+
+# A flag the subcommand's usage does not name is a usage error (exit 3,
+# flag named, subcommand usage printed) — never silently ignored, which
+# would run a different program than the caller asked for. Covers the
+# retired sweep-program flags and a typo of a real one; checked before any
+# dataset/snapshot I/O, so these run without fixtures.
+expect_exit(3 fit --data d --save s --sync-every 2)
+if(NOT last_stderr MATCHES "unknown flag --sync-every" OR
+   NOT last_stderr MATCHES "mlpctl fit")
+  message(FATAL_ERROR "retired --sync-every not rejected by name:\n${last_stderr}")
+endif()
+expect_exit(3 ingest --data d --load m.snap --delta dd --save s
+            --resample-burn 1)
+if(NOT last_stderr MATCHES "unknown flag --resample-burn")
+  message(FATAL_ERROR "retired --resample-burn not rejected by name:\n${last_stderr}")
+endif()
+expect_exit(3 serve --data d --load m.snap --thread 4)
+if(NOT last_stderr MATCHES "unknown flag --thread\n" OR
+   NOT last_stderr MATCHES "mlpctl serve")
+  message(FATAL_ERROR "typo --thread not rejected by name:\n${last_stderr}")
 endif()

@@ -1,7 +1,8 @@
 # Drives the real mlpctl binary through the full snapshot workflow:
 # generate a tiny world, fit with an early checkpoint, resume the fit to
-# completion from the saved file, and evaluate the persisted model. Runs
-# as a ctest (registered in CMakeLists.txt), so any drift in the on-disk
+# completion from the saved file (byte-identical to an uninterrupted fit,
+# at 1 and 4 threads), and evaluate the persisted model. Runs as a ctest
+# (registered in CMakeLists.txt), so any drift in the on-disk
 # model-snapshot format breaks the build even without GTest installed.
 #
 # Usage: cmake -DMLPCTL=<path> -DWORK_DIR=<dir> -P snapshot_smoke.cmake
@@ -21,13 +22,24 @@ function(run_step)
 endfunction()
 
 run_step(${MLPCTL} generate --users 300 --seed 7 --out ${WORK_DIR}/data)
-# Checkpoint mid-fit so resume actually has sweeps left to run.
-run_step(${MLPCTL} fit --data ${WORK_DIR}/data --save ${WORK_DIR}/model.snap
-         --burn 2 --sampling 2 --max-sweeps 2)
-run_step(${MLPCTL} resume --data ${WORK_DIR}/data
-         --load ${WORK_DIR}/model.snap --save ${WORK_DIR}/final.snap)
-run_step(${MLPCTL} eval --data ${WORK_DIR}/data --load ${WORK_DIR}/final.snap)
+# At each thread count: checkpoint mid-fit so resume actually has sweeps
+# left to run, resume it to completion, and require the resumed snapshot
+# to be byte-identical to an uninterrupted fit of the same program.
+foreach(threads 1 4)
+  set(prefix ${WORK_DIR}/t${threads})
+  run_step(${MLPCTL} fit --data ${WORK_DIR}/data --save ${prefix}_model.snap
+           --burn 2 --sampling 2 --threads ${threads} --max-sweeps 2)
+  run_step(${MLPCTL} resume --data ${WORK_DIR}/data
+           --load ${prefix}_model.snap --save ${prefix}_final.snap)
+  run_step(${MLPCTL} fit --data ${WORK_DIR}/data --save ${prefix}_full.snap
+           --burn 2 --sampling 2 --threads ${threads})
+  run_step(${CMAKE_COMMAND} -E compare_files ${prefix}_final.snap
+           ${prefix}_full.snap)
+endforeach()
+run_step(${MLPCTL} eval --data ${WORK_DIR}/data
+         --load ${WORK_DIR}/t1_final.snap)
 
 # The resumed snapshot must be complete and loadable; a second resume of a
 # finished model is a no-op fit that must still succeed (serving reload).
-run_step(${MLPCTL} resume --data ${WORK_DIR}/data --load ${WORK_DIR}/final.snap)
+run_step(${MLPCTL} resume --data ${WORK_DIR}/data
+         --load ${WORK_DIR}/t1_final.snap)

@@ -31,6 +31,11 @@ constexpr double kAlphaMax = -0.05;
 constexpr double kBudgetInitialFloor = 0.02;
 constexpr double kBudgetFloorGrowth = 1.5;
 constexpr double kBudgetMaxFloor = 0.5;
+
+// ApplyDelta's warm resample over the touched shards: a short burn absorbs
+// the new evidence, then sampling sweeps average the refreshed posteriors.
+constexpr int kDeltaBurnSweeps = 3;
+constexpr int kDeltaSamplingSweeps = 5;
 }  // namespace
 
 uint64_t FitFingerprint(const ModelInput& input, const MlpConfig& config,
@@ -62,7 +67,7 @@ uint64_t FitFingerprint(const ModelInput& input, const MlpConfig& config,
   f.Value(config.seed);
   f.Value(config.distance_floor_miles);
   f.Value<int32_t>(config.num_threads);
-  f.Value<int32_t>(config.sync_every_sweeps);
+  f.Value<int32_t>(1);  // retired merge-cadence slot (io/README.md)
 
   // Observations.
   const graph::SocialGraph& graph = *input.graph;
@@ -133,9 +138,8 @@ Status MlpModel::ValidateInput(const ModelInput& input) const {
       config_.rho_t >= 1.0) {
     return Status::InvalidArgument("rho_f/rho_t must be in [0, 1)");
   }
-  if (config_.num_threads < 1 || config_.sync_every_sweeps < 1) {
-    return Status::InvalidArgument(
-        "num_threads and sync_every_sweeps must be >= 1");
+  if (config_.num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
   }
   if (config_.prune_floor < 0.0 || config_.prune_floor >= 1.0) {
     return Status::InvalidArgument("prune_floor must be in [0, 1)");
@@ -241,7 +245,8 @@ Result<MlpResult> MlpModel::Fit(const ModelInput& input,
   // ---- memory accounting + budget enforcement (mem_budget_mb) ----
   // Exact AccountedBytes() walks, published as gauges so /statsz and
   // `mlpctl fit --profile` can watch the budget hold. The walk is
-  // O(edges), so it runs at merged barriers only.
+  // O(edges), so it runs once per burn-in sweep, and only under a budget
+  // (plus once at the end of the fit).
   obs::Registry& registry = obs::Registry::Global();
   obs::Gauge* const arena_bytes_gauge =
       registry.GetGauge(obs::kMemArenaBytes);
@@ -267,13 +272,13 @@ Result<MlpResult> MlpModel::Fit(const ModelInput& input,
     obs::UpdateProcessRssGauges();
     return candidate + arena;
   };
-  // Over budget at a merged burn-in barrier: ratchet the pruning schedule
+  // Over budget after a burn-in sweep: ratchet the pruning schedule
   // (shared with the engine through `config`) so the following
   // MaybePrune barriers deactivate more slots. Enforcement never fires
   // during sampling — the accumulators need one fixed support — so the
   // footprint must be argued down during burn-in.
   auto maybe_tighten_budget = [&]() {
-    if (mem_budget_bytes <= 0 || !engine.IsSynchronized()) return;
+    if (mem_budget_bytes <= 0) return;
     if (publish_accounting() <= mem_budget_bytes) return;
     budget_tighten_total->Add(1);
     config.prune_floor =
@@ -291,34 +296,28 @@ Result<MlpResult> MlpModel::Fit(const ModelInput& input,
   bool budget_hit = false;
   while (progress.round < rounds && !budget_hit) {
     while (progress.burn_in_done < burn) {
-      // Checkpoints are only cut at merged barriers: with
-      // sync_every_sweeps > 1 the stop rolls forward to the next merge, so
-      // the saved state is exactly the state an uninterrupted run has at
-      // that barrier.
-      if (budget_exhausted() && engine.IsSynchronized()) {
+      // Every sweep ends merged, so the saved state is exactly the state
+      // an uninterrupted run has after the same number of sweeps.
+      if (budget_exhausted()) {
         budget_hit = true;
         break;
       }
       engine.RunSweep(&rng);
       ++progress.burn_in_done;
       maybe_tighten_budget();
-      // Adaptive candidate pruning fires only at merged burn-in barriers,
-      // so the sampled posterior (and the accumulators) always run over one
-      // fixed support. No-op unless config.prune_floor > 0.
+      // Adaptive candidate pruning fires only after burn-in sweeps, so the
+      // sampled posterior (and the accumulators) always run over one fixed
+      // support. No-op unless config.prune_floor > 0.
       engine.MaybePrune(sweeps_done());
     }
     if (budget_hit) break;
-    engine.Synchronize();
     if (progress.sampling_done == 0) sampler.ResetAccumulators();
     while (progress.sampling_done < sampling) {
-      if (budget_exhausted()) {  // always synchronized in this phase
+      if (budget_exhausted()) {
         budget_hit = true;
         break;
       }
       engine.RunSweep(&rng);
-      // Accumulation reads the global counts, so any pending replica
-      // deltas must land first (no-op at sync_every_sweeps == 1).
-      engine.Synchronize();
       {
         obs::ScopedSpan span(accumulate_ns, "accumulate");
         sampler.AccumulateSample();
@@ -398,10 +397,6 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   if (opts.warm_start == nullptr) {
     return Status::InvalidArgument(
         "ApplyDelta requires options.warm_start (the base checkpoint)");
-  }
-  if (opts.delta_burn_sweeps < 0 || opts.delta_sampling_sweeps < 1) {
-    return Status::InvalidArgument(
-        "need >= 0 delta burn and >= 1 delta sampling sweeps");
   }
   const FitCheckpoint& base = *opts.warm_start;
   const graph::SocialGraph& old_graph = *base_input.graph;
@@ -745,9 +740,9 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
       }
       sampler.RecordSweepTrace();
     };
-    for (int it = 0; it < opts.delta_burn_sweeps; ++it) sweep();
+    for (int it = 0; it < kDeltaBurnSweeps; ++it) sweep();
     sampler.ResetAccumulators();
-    for (int it = 0; it < opts.delta_sampling_sweeps; ++it) {
+    for (int it = 0; it < kDeltaSamplingSweeps; ++it) {
       sweep();
       sampler.AccumulateSample();
     }

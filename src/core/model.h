@@ -49,8 +49,8 @@ struct FitCheckpoint {
 struct FitOptions {
   /// Global sweep budget over the whole program (burn-in + sampling,
   /// summed across Gibbs-EM rounds and across warm-started continuations).
-  /// Negative means run to completion. Fit stops at the first merged sweep
-  /// barrier at or after the budget, fills `checkpoint_out` (if given)
+  /// Negative means run to completion. Fit stops after exactly that many
+  /// sweeps (every sweep ends merged), fills `checkpoint_out` (if given)
   /// with `complete == false`, and still returns a best-effort result.
   int max_total_sweeps = -1;
   /// Resume from this checkpoint instead of initializing from the priors.
@@ -59,15 +59,8 @@ struct FitOptions {
   /// When non-null, filled with the end-of-run state — complete or not —
   /// so the caller can persist it (io::SaveModelSnapshot) or resume later.
   FitCheckpoint* checkpoint_out = nullptr;
-  /// ApplyDelta only: warm resampling sweeps run over the touched shards
-  /// after a delta lands — a short burn to absorb the new evidence, then
-  /// accumulation sweeps that average the refreshed posteriors. Both are
-  /// tiny compared to a full sweep program; that gap (times the touched-
-  /// shard fraction) is the streaming-ingest speedup.
-  int delta_burn_sweeps = 3;
-  int delta_sampling_sweeps = 5;
   /// Memory budget for the fit in MB; 0 (default) disables enforcement.
-  /// At every merged burn-in barrier Fit publishes the exact accounted
+  /// After every burn-in sweep Fit publishes the exact accounted
   /// footprint (candidate space + sampler + engine arenas; the mem_*
   /// gauges in obs), and while it exceeds the budget the pruning schedule
   /// is tightened — the floor ratchets up and patience drops to 1 — so
@@ -157,9 +150,12 @@ class MlpModel {
   ///   3. adopts the migrated chain (GibbsSampler::AdoptMigratedChain) and
   ///      resamples ONLY the shards touched by the delta — one shard per
   ///      thread (GraphSharder::PartitionGrouped), the touched users packed
-  ///      into the fewest — for `options.delta_burn_sweeps +
-  ///      delta_sampling_sweeps` sequential sweeps of the exact kernels
-  ///      from the warm state, on the checkpoint's master RNG stream (the
+  ///      into the fewest — for a fixed 3 burn-in + 5 sampling
+  ///      sequential sweeps of the exact kernels from the warm state (a
+  ///      short burn absorbs the new evidence, the sampling sweeps average
+  ///      the refreshed posteriors; the gap to a full sweep program, times
+  ///      the touched-shard fraction, is the streaming-ingest speedup), on
+  ///      the checkpoint's master RNG stream (the
   ///      sub-shard streams pass through unchanged; their count must fit
   ///      the thread count),
   ///   4. merges: untouched users/edges keep `base_result`'s rows verbatim

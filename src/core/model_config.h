@@ -95,16 +95,14 @@ struct MlpConfig {
   /// Gibbs worker threads. 1 runs the exact sequential sampler; N > 1
   /// shards users across N workers with AD-LDA-style delta merging
   /// (approximate but deterministic for fixed N; see src/engine/README.md).
+  /// Every parallel sweep ends in a merge. The snapshot and the
+  /// fingerprint keep a retired int32 slot after this field that always
+  /// holds 1 (it held the merge cadence, now fixed at every sweep).
   int num_threads = 1;
-  /// Sweeps between replica merges when num_threads > 1. 1 (the default)
-  /// merges at every sweep barrier; larger values trade statistical
-  /// freshness of the thread-local counts for fewer barriers during
-  /// burn-in. Ignored in the sequential path.
-  int sync_every_sweeps = 1;
 
   // ---- adaptive candidate pruning (core/candidate_space.h) ----
-  /// Posterior-mass floor for sweep-time candidate pruning: at every merged
-  /// sync barrier during burn-in, an active candidate whose posterior mass
+  /// Posterior-mass floor for sweep-time candidate pruning: at every
+  /// burn-in sweep's merge barrier, an active candidate whose posterior mass
   /// (ϕ+γ)/(ϕ_total+Σγ) has stayed below this floor for `prune_patience`
   /// consecutive barriers is deactivated and the arena compacted, shrinking
   /// the blocked update's O(|cand_i|·|cand_j|) inner loop. 0 (the default)

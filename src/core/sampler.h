@@ -40,9 +40,8 @@ struct MlpResult {
   double alpha = 0.0;                            // final power-law exponent
   double beta = 0.0;
   /// Per-sweep fraction of users whose home estimate changed (the
-  /// convergence trace behind Fig. 5). When the parallel engine runs with
-  /// sync_every_sweeps = n > 1 there is one entry per merge barrier (every
-  /// n sweeps), each aggregating that interval's movement.
+  /// convergence trace behind Fig. 5), one entry per sweep at every
+  /// thread count (the parallel engine merges after every sweep).
   std::vector<double> home_change_per_sweep;
 };
 

@@ -72,8 +72,7 @@ ParallelGibbsEngine::ParallelGibbsEngine(core::GibbsSampler* sampler,
       input_(input),
       config_(config),
       space_(space),
-      num_threads_(std::max(1, config->num_threads)),
-      sync_every_(std::max(1, config->sync_every_sweeps)) {
+      num_threads_(std::max(1, config->num_threads)) {
   MLP_CHECK(sampler_ != nullptr && input_ != nullptr && config_ != nullptr);
   if (num_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
@@ -103,7 +102,6 @@ void ParallelGibbsEngine::Initialize(Pcg32* rng) {
   sampler_->Initialize(rng);
   replicas_fresh_ = false;
   proposals_stale_ = true;
-  sweeps_since_sync_ = 0;
 }
 
 void ParallelGibbsEngine::RebuildTouchSets() {
@@ -152,7 +150,6 @@ void ParallelGibbsEngine::RefreshReplicas() {
   }
   pool_->Wait();
   replicas_fresh_ = true;
-  sweeps_since_sync_ = 0;
 }
 
 void ParallelGibbsEngine::RebuildProposals() {
@@ -290,7 +287,6 @@ void ParallelGibbsEngine::MergeAndRefresh() {
     });
   }
   pool_->Wait();
-  sweeps_since_sync_ = 0;
   proposals_stale_ = true;  // rebuilt lazily from the just-merged counts
   // Timed separately (fit_trace_record_ns, inside the sampler): the sweep
   // trace diff is main-thread work that is easy to mistake for merge cost.
@@ -407,7 +403,7 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
     return ewma_ns_[a] > ewma_ns_[b];
   });
 
-  if (++sweeps_since_sync_ >= sync_every_) MergeAndRefresh();
+  MergeAndRefresh();
 }
 
 void ParallelGibbsEngine::ReshardByCost() {
@@ -429,7 +425,6 @@ void ParallelGibbsEngine::ReshardByCost() {
 
 bool ParallelGibbsEngine::MaybePrune(int32_t sweep_index) {
   if (space_ == nullptr || config_->prune_floor <= 0.0) return false;
-  if (!IsSynchronized()) return false;
   bool pruned = false;
   {
     obs::ScopedSpan span(Counters().prune_ns, "prune");
@@ -457,11 +452,6 @@ void ParallelGibbsEngine::OnActivationRestored() {
   }
 }
 
-void ParallelGibbsEngine::Synchronize() {
-  if (num_threads_ <= 1 || sweeps_since_sync_ == 0) return;
-  MergeAndRefresh();
-}
-
 std::vector<Pcg32State> ParallelGibbsEngine::ShardRngStates() const {
   std::vector<Pcg32State> states;
   states.reserve(shard_rngs_.size());
@@ -481,7 +471,6 @@ Status ParallelGibbsEngine::RestoreShardRngStates(
   }
   replicas_fresh_ = false;
   proposals_stale_ = true;
-  sweeps_since_sync_ = 0;
   return Status::OK();
 }
 

@@ -40,15 +40,16 @@ namespace engine {
 /// arithmetic is exact and the engine stays run-to-run deterministic for a
 /// fixed (seed, num_threads) even under dynamic scheduling.
 ///
-/// At the sync barrier one parallel pass merges every accumulator into the
-/// global counts AND refreshes every replica, region by region: thread r
-/// owns slice r of each flat buffer, sums the accumulators' slices into the
-/// global slice, zeroes them, and copies the merged slice back into all
-/// replicas — merge and refresh overlap in a single barrier instead of a
-/// serial merge followed by a serial (or separate) refresh. The per-user
-/// alias proposal tables (core::ProposalTables) are then rebuilt in
-/// parallel from the merged counts; they stay frozen for the next sync
-/// epoch and the kernels' MH acceptance ratio corrects their staleness.
+/// Every sweep ends at the sync barrier: one parallel pass merges every
+/// accumulator into the global counts AND refreshes every replica, region
+/// by region: thread r owns slice r of each flat buffer, sums the
+/// accumulators' slices into the global slice, zeroes them, and copies the
+/// merged slice back into all replicas — merge and refresh overlap in a
+/// single barrier instead of a serial merge followed by a serial (or
+/// separate) refresh. The per-user alias proposal tables
+/// (core::ProposalTables) are then rebuilt in parallel from the merged
+/// counts; they stay frozen for the next sweep and the kernels' MH
+/// acceptance ratio corrects their staleness.
 ///
 /// With `config->num_threads <= 1` every call delegates to the sequential
 /// `GibbsSampler`, using the caller's RNG and the exact blocked kernels —
@@ -56,12 +57,9 @@ namespace engine {
 /// threads each sub-shard draws from its own Pcg32 stream derived from
 /// `config->seed`, so the chain is independent of thread scheduling but
 /// differs (as any approximate parallel chain must) from the sequential
-/// one.
-///
-/// `config->sync_every_sweeps > 1` lets the accumulators collect that many
-/// sweeps of deltas between merges, trading statistical freshness for fewer
-/// barriers — callers that read global counts mid-run must `Synchronize()`
-/// first.
+/// one. Because every sweep merges, the global counts reflect every sweep
+/// run so far whenever RunSweep returns: checkpoints may be cut and counts
+/// read between any two sweeps.
 class ParallelGibbsEngine {
  public:
   /// Sub-shards per worker thread. Enough queue depth that dynamic
@@ -82,33 +80,19 @@ class ParallelGibbsEngine {
   /// Sequential initialization (identical for every thread count).
   void Initialize(Pcg32* rng);
 
-  /// One full Gibbs sweep over all relationships. `rng` drives the chain
-  /// only in the sequential (num_threads <= 1) path.
+  /// One full Gibbs sweep over all relationships, ending merged. `rng`
+  /// drives the chain only in the sequential (num_threads <= 1) path.
   void RunSweep(Pcg32* rng);
-
-  /// Forces any pending accumulator deltas into the global counts. No-op
-  /// when already synchronized (always, at sync_every_sweeps == 1).
-  void Synchronize();
-
-  /// True when the global counts reflect every sweep run so far — i.e. no
-  /// accumulator holds unmerged deltas. Checkpoints may only be cut here;
-  /// always true in the sequential path and at sync_every_sweeps == 1.
-  /// (Replicas are reverted to the global values after every sub-shard
-  /// fold, so unlike the pre-fold design they never hold deltas
-  /// themselves.)
-  bool IsSynchronized() const {
-    return num_threads_ <= 1 || sweeps_since_sync_ == 0;
-  }
 
   // ---- adaptive candidate pruning (used by core::MlpModel::Fit) ----
 
   /// One sweep-time pruning barrier: no-op unless pruning is configured
-  /// (config->prune_floor > 0, a space was given) and the engine is at a
-  /// merged sync barrier. Otherwise runs CandidateSpace::PruneStep against
-  /// the global counts; if anything was deactivated, drives the sampler's
-  /// arena/chain compaction, then (timed separately, fit_rebalance_ns)
-  /// re-estimates per-user costs and re-partitions the sub-shards so the
-  /// scheduler's balance tracks the shrinking inner loops. Returns true iff
+  /// (config->prune_floor > 0 and a space was given). Otherwise runs
+  /// CandidateSpace::PruneStep against the global counts; if anything was
+  /// deactivated, drives the sampler's arena/chain compaction, then (timed
+  /// separately, fit_rebalance_ns) re-estimates per-user costs and
+  /// re-partitions the sub-shards so the scheduler's balance tracks the
+  /// shrinking inner loops. Returns true iff
   /// a compaction happened. Deterministic: pure function of the merged
   /// counts, so fixed (seed, num_threads) still replays the exact same
   /// chain.
@@ -164,7 +148,7 @@ class ParallelGibbsEngine {
   /// marks the proposal tables stale and records the sweep trace.
   void MergeAndRefresh();
   /// Rebuilds the alias proposal tables from the merged global counts
-  /// (parallel over user ranges). Requires IsSynchronized().
+  /// (parallel over user ranges).
   void RebuildProposals();
   /// Moves sub-shard `k`'s delta out of worker `slot`'s replica into its
   /// accumulator and reverts the replica to the global values — only the
@@ -187,7 +171,6 @@ class ParallelGibbsEngine {
   const core::MlpConfig* config_;
   core::CandidateSpace* space_;
   int num_threads_;
-  int sync_every_;
 
   std::unique_ptr<ThreadPool> pool_;    // null in the sequential path
   std::vector<Shard> shards_;           // sub-shards (work-queue granularity)
@@ -205,7 +188,6 @@ class ParallelGibbsEngine {
   std::vector<core::ProposalBuildScratch> proposal_scratches_;
 
   core::ProposalTables proposals_;
-  int sweeps_since_sync_ = 0;
   bool replicas_fresh_ = false;
   bool proposals_stale_ = true;
 

@@ -111,14 +111,17 @@ void PutConfig(BinaryWriter* w, const core::MlpConfig& c, uint32_t version) {
   w->Put(c.seed);
   w->Put(c.distance_floor_miles);
   w->Put<int32_t>(c.num_threads);
-  w->Put<int32_t>(c.sync_every_sweeps);
+  w->Put<int32_t>(1);  // retired merge-cadence slot: every sweep merges
   if (version >= 2) {
     w->Put(c.prune_floor);
     w->Put<int32_t>(c.prune_patience);
   }
 }
 
-core::MlpConfig GetConfig(BinaryReader* r, uint32_t version) {
+/// `merge_cadence` receives the retired slot after num_threads, which the
+/// writer always fills with 1 (every sweep merges).
+core::MlpConfig GetConfig(BinaryReader* r, uint32_t version,
+                          int32_t* merge_cadence) {
   core::MlpConfig c;
   c.source = static_cast<core::ObservationSource>(r->Get<int32_t>());
   c.alpha = r->Get<double>();
@@ -141,7 +144,7 @@ core::MlpConfig GetConfig(BinaryReader* r, uint32_t version) {
   c.seed = r->Get<uint64_t>();
   c.distance_floor_miles = r->Get<double>();
   c.num_threads = r->Get<int32_t>();
-  c.sync_every_sweeps = r->Get<int32_t>();
+  *merge_cadence = r->Get<int32_t>();
   if (version >= 2) {
     c.prune_floor = r->Get<double>();
     c.prune_patience = r->Get<int32_t>();
@@ -540,7 +543,16 @@ Result<ModelSnapshot> LoadModelSnapshot(const std::string& path) {
   BinaryReader r(payload_bytes, payload_size);
   ModelSnapshot snapshot;
   snapshot.version = version;
-  snapshot.checkpoint.config = GetConfig(&r, version);
+  int32_t merge_cadence = 1;
+  snapshot.checkpoint.config = GetConfig(&r, version, &merge_cadence);
+  if (!r.failed() && merge_cadence != 1) {
+    // The sweep program it recorded (merges every N sweeps) no longer
+    // exists, so the checkpoint can neither resume nor be described.
+    return Status::InvalidArgument(
+        "snapshot was fit with the retired --sync-every " +
+        std::to_string(merge_cadence) +
+        " (every sweep merges now; refit it): " + path);
+  }
   snapshot.checkpoint.fingerprint = r.Get<uint64_t>();
   snapshot.checkpoint.complete = r.Get<uint8_t>() != 0;
   snapshot.checkpoint.progress.round = r.Get<int32_t>();

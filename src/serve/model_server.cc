@@ -110,7 +110,7 @@ ModelServer::ModelServer(ReadModel model, const ServeOptions& options)
     : options_(options),
       conn_pool_(std::max(1, options.threads)),
       http_(&conn_pool_),
-      slow_ring_(static_cast<size_t>(std::max(1, options.slow_ring_capacity))) {
+      slow_ring_(kSlowRingCapacity) {
   static_assert(std::size(kEndpointNames) == kNumEndpoints);
   obs::Registry& registry = obs::Registry::Global();
   requests_total_ = registry.GetCounter(kServeRequestsTotal);

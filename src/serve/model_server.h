@@ -32,8 +32,6 @@ struct ServeOptions {
   int port = 8080;
   /// Worker threads serving connections.
   int threads = 4;
-  /// Profile entries served per user (ReadModelOptions::top_k).
-  int top_k = 10;
   /// Structured JSON access log, one line per request (`mlpctl serve
   /// --access_log[=path]`). With a path the lines are appended to that
   /// file (flushed per line); with the bare flag they go through
@@ -44,8 +42,6 @@ struct ServeOptions {
   /// (with their stage breakdown) in the GET /debug/slowz ring; <= 0
   /// disables slow-request capture.
   int64_t slow_request_us = 10000;
-  /// How many slow-request traces /debug/slowz retains.
-  int slow_ring_capacity = 64;
 };
 
 /// The online query front end over one fitted model (ISSUE 4 / ROADMAP
@@ -74,6 +70,9 @@ struct ServeOptions {
 /// the model they started with and the swap never blocks the data path.
 class ModelServer {
  public:
+  /// How many slow-request traces /debug/slowz retains.
+  static constexpr int kSlowRingCapacity = 64;
+
   ModelServer(ReadModel model, const ServeOptions& options);
 
   ModelServer(const ModelServer&) = delete;

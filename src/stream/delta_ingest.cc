@@ -11,8 +11,7 @@ namespace stream {
 Result<IngestOutput> ApplyDeltaBatch(const core::ModelInput& base_input,
                                      const core::FitCheckpoint& base_checkpoint,
                                      const core::MlpResult& base_result,
-                                     const DeltaBatch& delta,
-                                     const IngestOptions& options) {
+                                     const DeltaBatch& delta) {
   const int64_t merge_start_ns = obs::NowNs();
   MLP_ASSIGN_OR_RETURN(graph::SocialGraph merged,
                        MergeDelta(*base_input.graph, delta));
@@ -47,8 +46,6 @@ Result<IngestOutput> ApplyDeltaBatch(const core::ModelInput& base_input,
   core::FitOptions fit_options;
   fit_options.warm_start = &base_checkpoint;
   fit_options.checkpoint_out = &out.checkpoint;
-  fit_options.delta_burn_sweeps = options.resample_burn;
-  fit_options.delta_sampling_sweeps = options.resample_sampling;
 
   core::MlpModel model(base_checkpoint.config);
   MLP_ASSIGN_OR_RETURN(out.result,

@@ -12,14 +12,6 @@
 namespace mlp {
 namespace stream {
 
-/// Knobs for one ingest (the `mlpctl ingest` flags map 1:1 onto these).
-struct IngestOptions {
-  /// Warm resampling sweeps over the touched shards: burn absorbs the new
-  /// evidence into the chain, sampling averages the refreshed posteriors.
-  int resample_burn = 3;
-  int resample_sampling = 5;
-};
-
 /// Everything one ingest produces. The merged graph is owned here because
 /// the updated checkpoint/result are only meaningful against it — callers
 /// keep the pair together (snapshot it, serve it, or ingest again).
@@ -43,8 +35,7 @@ struct IngestOutput {
 Result<IngestOutput> ApplyDeltaBatch(const core::ModelInput& base_input,
                                      const core::FitCheckpoint& base_checkpoint,
                                      const core::MlpResult& base_result,
-                                     const DeltaBatch& delta,
-                                     const IngestOptions& options = {});
+                                     const DeltaBatch& delta);
 
 }  // namespace stream
 }  // namespace mlp

@@ -207,8 +207,8 @@ void LiveIngestor::ProcessBatch(const std::string& name) {
   // the server can observe mutates until the atomic swap below.
   const int64_t apply_start_ns = SteadyNowNs();
   std::unique_lock<std::mutex> state_lock(state_mu_);
-  Result<IngestOutput> out = ApplyDeltaBatch(CurrentInputLocked(), checkpoint_,
-                                             result_, *delta, options_.ingest);
+  Result<IngestOutput> out =
+      ApplyDeltaBatch(CurrentInputLocked(), checkpoint_, result_, *delta);
   state_lock.unlock();
   if (!out.ok()) {
     Quarantine(name, "apply", out.status());

@@ -31,10 +31,6 @@ struct LiveIngestOptions {
   std::string spool_dir;
   /// Poll interval between spool scans.
   int poll_ms = 200;
-  /// Warm-resample knobs forwarded to ApplyDeltaBatch. Defaults match
-  /// `mlpctl ingest`, so a live-spooled batch and an offline ingest of the
-  /// same delta produce byte-identical models.
-  IngestOptions ingest;
   /// Forwarded to ReadModel::Build for each swapped-in model.
   serve::ReadModelOptions read_model;
   /// > 0: snapshot the evolving model to `checkpoint_path` every K applied

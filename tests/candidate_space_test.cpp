@@ -159,7 +159,6 @@ TEST(CandidateSpacePruneTest, PruneStepCompactsWithoutLosingMass) {
 
   // The chain keeps running on the compacted support.
   for (int it = 0; it < 2; ++it) h.engine.RunSweep(&rng);
-  h.engine.Synchronize();
   ExpectArenaConsistent(h.sampler);
 }
 

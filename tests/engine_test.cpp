@@ -423,7 +423,6 @@ TEST(ParallelGibbsEngineTest, MergedCountsStayConsistent) {
   Pcg32 rng(config.seed, 0x5bd1e995u);
   engine.Initialize(&rng);
   for (int it = 0; it < 4; ++it) engine.RunSweep(&rng);
-  engine.Synchronize();
 
   const core::SuffStatsArena& stats = sampler.stats();
   const core::SuffStatsLayout& layout = sampler.layout();
@@ -457,26 +456,6 @@ TEST(ParallelGibbsEngineTest, MergedCountsStayConsistent) {
     venue_mass += row;
   }
   EXPECT_LE(venue_mass, harness.input.graph->num_tweeting());
-}
-
-// sync_every_sweeps > 1 defers merges; Synchronize() must land them before
-// anyone reads global counts, and Fit must still produce a valid result.
-TEST(ParallelGibbsEngineTest, DeferredSyncStillProducesValidFit) {
-  synth::SyntheticWorld world = TestWorld(200, 33);
-  FitHarness harness(world);
-  core::MlpConfig config;
-  config.burn_in_iterations = 4;
-  config.sampling_iterations = 3;
-  config.num_threads = 2;
-  config.sync_every_sweeps = 3;
-
-  Result<core::MlpResult> result = core::MlpModel(config).Fit(harness.input);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(static_cast<int>(result->home.size()),
-            harness.input.graph->num_users());
-  for (geo::CityId home : result->home) {
-    EXPECT_NE(home, geo::kInvalidCity);
-  }
 }
 
 }  // namespace

@@ -163,15 +163,15 @@ TEST(LiveIngestTest, BatchAppliedSwappedAndByteIdenticalToOffline) {
 
   const fs::path spool = FreshSpool("live_apply_spool");
   // The offline reference: the SAME CSV bytes applied through the same
-  // entry points `mlpctl ingest` uses (LoadDeltaBatch + ApplyDeltaBatch
-  // with default IngestOptions — LiveIngestOptions defaults must match).
+  // entry points `mlpctl ingest` uses (LoadDeltaBatch + ApplyDeltaBatch,
+  // which runs the one fixed resample program both paths share).
   const fs::path reference = fs::path(::testing::TempDir()) / "live_ref_delta";
   fs::remove_all(reference);
   StageDeltaCsvs(reference, base_users);
   Result<DeltaBatch> delta = LoadDeltaBatch(reference.string());
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  Result<IngestOutput> offline = ApplyDeltaBatch(
-      harness.input, checkpoint, result, *delta, IngestOptions());
+  Result<IngestOutput> offline =
+      ApplyDeltaBatch(harness.input, checkpoint, result, *delta);
   ASSERT_TRUE(offline.ok()) << offline.status().ToString();
   core::ModelInput merged = harness.input;
   merged.graph = offline->merged_graph.get();

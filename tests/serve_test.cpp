@@ -1110,9 +1110,10 @@ TEST_F(ModelServerTest, SlowzCapturesStageBreakdownsAndHonorsCapacity) {
   ServeOptions options;
   options.threads = 2;
   options.slow_request_us = 1;  // everything is "slow"
-  options.slow_ring_capacity = 4;
   auto server = StartServerWithOptions(options);
-  for (int i = 0; i < 6; ++i) {
+  // More slow requests than the ring holds, so retention must be bounded.
+  constexpr int kCapacity = ModelServer::kSlowRingCapacity;
+  for (int i = 0; i < kCapacity + 2; ++i) {
     ASSERT_TRUE(HttpFetch("127.0.0.1", server->port(), "GET",
                           "/v1/user/" + std::to_string(i))
                     .ok());
@@ -1127,11 +1128,12 @@ TEST_F(ModelServerTest, SlowzCapturesStageBreakdownsAndHonorsCapacity) {
   Result<JsonValue> parsed = ParseJson(slowz->body);
   ASSERT_TRUE(parsed.ok()) << slowz->body;
   EXPECT_EQ(parsed->Find("threshold_us")->AsInt(-1), 1);
-  EXPECT_EQ(parsed->Find("capacity")->AsInt(-1), 4);
+  EXPECT_EQ(parsed->Find("capacity")->AsInt(-1), kCapacity);
   const JsonValue* requests = parsed->Find("requests");
   ASSERT_NE(requests, nullptr);
   ASSERT_GE(requests->items.size(), 1u);
-  ASSERT_LE(requests->items.size(), 4u);  // ring capacity bounds retention
+  // ring capacity bounds retention
+  ASSERT_LE(requests->items.size(), static_cast<size_t>(kCapacity));
   EXPECT_GE(parsed->Find("total_captured")->AsInt(-1),
             static_cast<int64_t>(requests->items.size()));
   for (const JsonValue& record : requests->items) {

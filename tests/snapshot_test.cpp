@@ -5,6 +5,7 @@
 // the uninterrupted fit exactly, sequential and sharded.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "core/model.h"
 #include "eval/methods.h"
 #include "io/model_snapshot.h"
@@ -222,6 +224,45 @@ TEST_F(CorruptionTest, FutureVersionRejected) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 }
 
+// The i32 config slot after num_threads once held the merge cadence
+// (`mlpctl fit --sync-every N`). Every sweep merges now and the writer
+// always emits 1; a file holding another value was fit with a sweep program
+// that no longer exists, so the reader names the retired option instead of
+// loading it (or failing later on a misleading fingerprint mismatch).
+TEST_F(CorruptionTest, RetiredMergeCadenceSlotRejected) {
+  // Payload offset 112: source i32, alpha/beta f64, fit_power_law u8,
+  // rho_f/rho_t f64, model_noise u8, tau/supervision_boost/delta f64,
+  // use_candidacy/use_supervision u8, five i32 counts, em_damping f64,
+  // seed u64, distance_floor_miles f64, num_threads i32.
+  constexpr size_t kSlot = kModelSnapshotHeaderSize + 112;
+  std::vector<char> patched = bytes_;
+  uint64_t seed = 0;
+  std::memcpy(&seed, patched.data() + kSlot - 20, sizeof(seed));
+  ASSERT_EQ(seed, core::MlpConfig().seed);  // pins the offset
+  int32_t slot = 0;
+  std::memcpy(&slot, patched.data() + kSlot, sizeof(slot));
+  ASSERT_EQ(slot, 1);
+  slot = 2;
+  std::memcpy(patched.data() + kSlot, &slot, sizeof(slot));
+
+  // Reseal the checksum the way LoadModelSnapshot computes it: version
+  // word, endian marker, then the payload.
+  uint64_t payload_size = 0;
+  std::memcpy(&payload_size, patched.data() + 16, sizeof(payload_size));
+  Fnv1a64 checksum;
+  checksum.Bytes(patched.data() + 8, 2 * sizeof(uint32_t));
+  checksum.Bytes(patched.data() + kModelSnapshotHeaderSize, payload_size);
+  std::memcpy(patched.data() + 24, &checksum.hash, sizeof(checksum.hash));
+  WriteBytes(patched);
+
+  Result<ModelSnapshot> loaded = LoadModelSnapshot(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("sync-every"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 std::vector<char> ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::vector<char>(std::istreambuf_iterator<char>(in),
@@ -331,10 +372,6 @@ TEST(WarmStartTest, ShardedResumeMatchesUninterrupted) {
   config.sampling_iterations = 3;
   config.num_threads = 3;
   ExpectInterruptedEqualsUninterrupted(config, harness, 2);
-  // Deferred sync: the requested stop rolls forward to the next merge
-  // barrier, which is exactly where the uninterrupted chain merges too.
-  config.sync_every_sweeps = 2;
-  ExpectInterruptedEqualsUninterrupted(config, harness, 3);
 }
 
 TEST(WarmStartTest, FingerprintMismatchIsRejected) {

@@ -41,14 +41,15 @@
 //       pruning policy (and only that) for the remaining sweeps, so
 //       warm-started and pruned fits compose.
 //   mlpctl ingest --data DIR --load MODEL.snap --delta DIR2 --save M2.snap
-//                 [--resample-burn N] [--resample-sampling N]
+//                 [--save-data DIR3]
 //       Streaming delta ingest (src/stream/): absorb a batch of new
 //       users/relationships/tweets (CSV files under DIR2, same formats as
 //       a saved dataset) into a fitted snapshot WITHOUT a full refit —
 //       candidate rows are migrated, only the delta-touched shards are
-//       resampled from the warm chain state, and the updated model (bound
-//       to the merged world, also written as merged CSVs under
-//       --save-data when given) is saved as an ordinary v2 snapshot.
+//       resampled from the warm chain state (3 burn-in + 5 sampling
+//       sweeps, the same program the live daemon runs), and the updated
+//       model (bound to the merged world, also written as merged CSVs
+//       under --save-data when given) is saved as an ordinary v2 snapshot.
 //   mlpctl serve --data DIR --load MODEL.snap [--port N] [--threads K]
 //                [--top_k T] [--selfcheck]
 //                [--spool DIR [--spool_poll_ms N]
@@ -77,10 +78,12 @@
 // MLP_LOG_LEVEL environment variable; the flag wins).
 //
 // Exit codes: 0 success, 1 runtime failure, 2 unknown/missing subcommand,
-// 3 missing or invalid required flag (per-subcommand usage printed).
+// 3 missing or invalid required flag, or a flag the subcommand's usage
+// does not name (per-subcommand usage printed).
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -245,6 +248,7 @@ const std::map<std::string, std::string>& UsageTexts() {
        "  mlpctl eval --data DIR [--folds K] [--method NAME|all]\n"
        "              [--threads N] [--warm] [--prune]\n"
        "              [--prune_floor F] [--prune_patience K]\n"
+       "              [--no_prune]\n"
        "  mlpctl eval --data DIR --load MODEL.snap\n"},
       {"fit",
        "  mlpctl fit --data DIR --save MODEL.snap [--burn N]\n"
@@ -256,12 +260,12 @@ const std::map<std::string, std::string>& UsageTexts() {
       {"resume",
        "  mlpctl resume --data DIR --load MODEL.snap\n"
        "             [--save MODEL2.snap] [--max-sweeps K]\n"
+       "             [--mem_budget_mb M]\n"
        "             [--prune_floor F] [--prune_patience K]\n"
        "             [--no_prune] [--profile] [--trace FILE]\n"},
       {"ingest",
        "  mlpctl ingest --data DIR --load MODEL.snap --delta DIR2\n"
-       "             --save MODEL2.snap [--save-data DIR3]\n"
-       "             [--resample-burn N] [--resample-sampling N]\n"},
+       "             --save MODEL2.snap [--save-data DIR3]\n"},
       {"serve",
        "  mlpctl serve --data DIR --load MODEL.snap [--port N]\n"
        "             [--threads K] [--top_k T]\n"
@@ -277,6 +281,22 @@ const std::map<std::string, std::string>& UsageTexts() {
        "             [--count K] [--interval_ms M] [--out FILE]\n"},
   };
   return kUsage;
+}
+
+// True when `usage` names `--key` as a whole flag, not as the prefix of a
+// longer one ("--thread" is not named by "--threads N").
+bool UsageNamesFlag(const std::string& usage, const std::string& key) {
+  const std::string needle = "--" + key;
+  for (size_t pos = usage.find(needle); pos != std::string::npos;
+       pos = usage.find(needle, pos + 1)) {
+    const size_t end = pos + needle.size();
+    if (end == usage.size() ||
+        !(std::isalnum(static_cast<unsigned char>(usage[end])) ||
+          usage[end] == '_' || usage[end] == '-')) {
+      return true;
+    }
+  }
+  return false;
 }
 
 int Usage() {
@@ -572,7 +592,6 @@ int CmdFit(const std::map<std::string, std::string>& flags) {
   config.burn_in_iterations = numeric.Int("burn", 10);
   config.sampling_iterations = numeric.Int("sampling", 14);
   config.num_threads = std::max(1, numeric.Int("threads", 1));
-  config.sync_every_sweeps = std::max(1, numeric.Int("sync-every", 1));
   config.gibbs_em_rounds = numeric.Int("em-rounds", 0);
   config.seed = numeric.U64("seed", 1234);
   ApplyPruneFlags(flags, &numeric, &config);
@@ -826,15 +845,9 @@ int CmdIngest(const std::map<std::string, std::string>& flags) {
 
   auto referents = world->vocab.ReferentTable();
   core::ModelInput base_input = FullInput(*world, referents);
-  NumericFlags numeric(flags, "ingest");
-  stream::IngestOptions options;
-  options.resample_burn = std::max(0, numeric.Int("resample-burn", 3));
-  options.resample_sampling = std::max(1, numeric.Int("resample-sampling", 5));
-  if (!numeric.ok()) return UsageFor("ingest");
-
   const auto start = std::chrono::steady_clock::now();
   Result<stream::IngestOutput> ingested = stream::ApplyDeltaBatch(
-      base_input, snapshot->checkpoint, snapshot->result, *delta, options);
+      base_input, snapshot->checkpoint, snapshot->result, *delta);
   if (!ingested.ok()) {
     std::fprintf(stderr, "ingest failed: %s\n",
                  ingested.status().ToString().c_str());
@@ -1113,7 +1126,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   // Ephemeral port under --selfcheck so smoke runs never collide.
   options.port = numeric.Int("port", selfcheck ? 0 : 8080);
   options.threads = std::max(1, numeric.Int("threads", 4));
-  options.top_k = numeric.Int("top_k", 10);
+  const int top_k = numeric.Int("top_k", 10);
   options.slow_request_us = numeric.Integer("slow_request_us", 10000);
 
   // Live ingest daemon flags. Coherence is a usage error (exit 3), not a
@@ -1201,7 +1214,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     return kExitRuntime;
   }
   serve::ReadModelOptions model_options;
-  model_options.top_k = options.top_k;
+  model_options.top_k = top_k;
   Result<serve::ReadModel> model =
       serve::ReadModel::Build(*snapshot, world->data->graph,
                               &world->gazetteer, model_options);
@@ -1222,7 +1235,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       "serving %d users / %d edges on http://127.0.0.1:%d "
       "(threads=%d top_k=%d)\n",
       server.model()->num_users(), server.model()->num_edges(), server.port(),
-      options.threads, options.top_k);
+      options.threads, top_k);
 
   // Live ingest daemon: attach the spool watcher before entering the serve
   // loop. Start() validates the spool synchronously, so a typo'd or
@@ -1232,7 +1245,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   const auto referents = world->vocab.ReferentTable();
   std::unique_ptr<stream::LiveIngestor> ingestor;
   if (!spool.empty()) {
-    live.read_model.top_k = options.top_k;
+    live.read_model.top_k = top_k;
     ingestor = std::make_unique<stream::LiveIngestor>(
         &server, FullInput(*world, referents), snapshot->checkpoint,
         snapshot->result, live);
@@ -1377,6 +1390,18 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     mlp::SetLogLevel(level);
+  }
+  // A flag the subcommand does not read would otherwise be ignored, and the
+  // command would silently run something other than what was asked.
+  if (auto usage = UsageTexts().find(command); usage != UsageTexts().end()) {
+    for (const auto& [key, value] : flags) {
+      (void)value;
+      if (key != "log_level" && !UsageNamesFlag(usage->second, key)) {
+        std::fprintf(stderr, "mlpctl %s: unknown flag --%s\n",
+                     command.c_str(), key.c_str());
+        return UsageFor(command);
+      }
+    }
   }
   if (command == "generate") return CmdGenerate(flags);
   if (command == "genworld") return CmdGenWorld(flags);
