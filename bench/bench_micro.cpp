@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: geo math, alias
 // sampling, the d^alpha table, venue extraction, power-law fitting, full
-// Gibbs sweeps (exact, and a two-worker alias-MH engine sweep), and the
+// Gibbs sweeps (exact, and a two-worker engine sweep), and the
 // serve-section render (one double, one 5k-user ReadModel::Build). After
 // the benchmark suite, main() runs the observability overhead guard:
 // instrumented (obs enabled) vs. short-circuited (obs disabled) sweeps must
@@ -181,8 +181,8 @@ void BM_GibbsSweep(benchmark::State& state) {
 BENCHMARK(BM_GibbsSweep)->Unit(benchmark::kMillisecond);
 
 /// One W=2 ParallelGibbsEngine::RunSweep on the 5k-user paper world: the
-/// alias-MH kernel plus the per-sweep proposal rebuild, fold and merge that
-/// a two-worker fit pays. Rate counters use wall-clock time, since the
+/// alias-MH following kernel, the exact tweeting kernel, and the per-sweep
+/// proposal rebuild, fold and merge that a two-worker fit pays. Rate counters use wall-clock time, since the
 /// workers, not the calling thread, do the work.
 void BM_EngineSweepW2(benchmark::State& state) {
   static synth::WorldConfig world_config = [] {

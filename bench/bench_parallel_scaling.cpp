@@ -1,9 +1,10 @@
 // Sweep-throughput scaling of the parallel sharded Gibbs engine
 // (src/engine/): relationships resampled per second at 1/2/4/8 threads on
 // a generated 50k-user world. The 1-thread row is the exact sequential
-// sampler; multi-thread rows run the work-queue engine (alias-MH kernels,
-// measured-cost scheduling, single-barrier merge+refresh), so the speedup
-// measures the whole pipeline including the sync barrier.
+// sampler; multi-thread rows run the work-queue engine (alias-MH following
+// kernel, exact tweeting kernel, measured-cost scheduling, single-barrier
+// merge+refresh), so the speedup measures the whole pipeline including
+// the sync barrier.
 //
 // Besides throughput, each row reports:
 //   - threads_N_shard_kernel_max_over_mean: per-sweep max/mean of worker
@@ -12,9 +13,9 @@
 //     scheduler cannot silently decay into one hot thread.
 //   - threads_N_acc_100mi_pct (+ _delta vs the 1-thread row): Table-2-style
 //     ACC@100mi of MAP homes against the synthetic ground truth, same
-//     sweep budget per row. The fast alias-MH kernels sample a different
-//     (equally valid) chain than the exact path, so the delta key is the
-//     "unchanged accuracy" acceptance criterion in measurable form.
+//     sweep budget per row. The engine samples a different chain than
+//     the sequential path, so the delta key is the "unchanged accuracy"
+//     acceptance criterion in measurable form.
 //   - hardware_threads: std::thread::hardware_concurrency() of the machine
 //     that produced the JSON, so the compare gate can condition its
 //     speedup floors on real cores being present.

@@ -1,7 +1,8 @@
 # Exit-code and usage-message contract of the mlpctl CLI (registered as
 # the `mlpctl_cli_usage` ctest): 2 for a missing/unknown subcommand (global
-# usage printed), 3 for a known subcommand with missing required flags or
-# a flag its usage does not name (that subcommand's usage printed) — so
+# usage printed), 3 for a known subcommand with missing required flags, a
+# flag its usage does not name or a stray argument (that subcommand's usage
+# printed) — so
 # wrapper scripts can tell a typo from a bad invocation from a real
 # failure.
 #
@@ -124,4 +125,23 @@ expect_exit(3 serve --data d --load m.snap --thread 4)
 if(NOT last_stderr MATCHES "unknown flag --thread\n" OR
    NOT last_stderr MATCHES "mlpctl serve")
   message(FATAL_ERROR "typo --thread not rejected by name:\n${last_stderr}")
+endif()
+
+# A token that is neither a flag nor a flag's value is a usage error (exit
+# 3, token named, subcommand usage printed), and a boolean flag takes only
+# a bare form, 0 or 1 — so it cannot swallow the next argument. Checked
+# before any dataset/snapshot I/O, so these run without fixtures.
+expect_exit(3 stats --data d stray-arg)
+if(NOT last_stderr MATCHES "unexpected argument 'stray-arg'" OR
+   NOT last_stderr MATCHES "mlpctl stats")
+  message(FATAL_ERROR "stray argument not rejected by name:\n${last_stderr}")
+endif()
+expect_exit(3 eval --data d --warm extra)
+if(NOT last_stderr MATCHES "invalid value 'extra' for --warm" OR
+   NOT last_stderr MATCHES "mlpctl eval")
+  message(FATAL_ERROR "boolean --warm took a value:\n${last_stderr}")
+endif()
+expect_exit(3 fit --data d --save s --profile=yes)
+if(NOT last_stderr MATCHES "invalid value 'yes' for --profile")
+  message(FATAL_ERROR "boolean --profile took a value:\n${last_stderr}")
 endif()

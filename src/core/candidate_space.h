@@ -212,12 +212,12 @@ struct ProposalBuildScratch {
   stats::AliasBuildScratch alias_work;
 };
 
-/// Per-user O(1) proposal draws for the parallel engine's alias-MH fast
-/// kernels (GibbsSampler::Sample*EdgeFast): one Walker alias table per
-/// ACTIVE candidate row, built from epoch-stale θ̃ weights (ϕ + γ at the
-/// last merged sync barrier) and stored as one flat ProposalRecord array
-/// laid out like the arena (`layout.phi_offset`), so a user's row is
-/// `row(u)[0..count)`.
+/// Per-user O(1) proposal draws for the parallel engine's alias-MH
+/// following kernel (GibbsSampler::SampleFollowingEdgeFast): one Walker
+/// alias table per ACTIVE candidate row, built from epoch-stale θ̃ weights
+/// (ϕ + γ at the last merged sync barrier) and stored as one flat
+/// ProposalRecord array laid out like the arena (`layout.phi_offset`), so
+/// a user's row is `row(u)[0..count)`.
 ///
 /// Each record carries the stale weight next to its alias bucket so the
 /// Metropolis–Hastings acceptance ratio can correct the staleness exactly:
@@ -248,10 +248,10 @@ class ProposalTables {
                     graph::UserId u_end, ProposalBuildScratch* scratch);
 
   /// Fills one row of `n` records from live counts `phi_u` and the active
-  /// view's `gamma`/`candidates`. Weights are ϕ + γ clamped at zero
-  /// (deferred-sync folds can leave a replica transiently below a stale
-  /// global row; see the engine README); the alias buckets are
-  /// AliasTable::BuildInto's over those weights.
+  /// view's `gamma`/`candidates`. Weights are ϕ + γ clamped at zero (a
+  /// fit's counts never go negative, but a restored snapshot's are not
+  /// sign-checked, and alias buckets need non-negative weights); the alias
+  /// buckets are AliasTable::BuildInto's over those weights.
   static void FillRow(const double* phi_u, const double* gamma,
                       const geo::CityId* candidates, int n,
                       ProposalRecord* out, ProposalBuildScratch* scratch);

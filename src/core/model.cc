@@ -738,6 +738,7 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
       for (graph::EdgeId k : tweeting_edges) {
         sampler.SampleTweetingEdge(k, stats, &scratch, &rng);
       }
+      scratch.venue_cells.clear();  // no fold reads it on this path
       sampler.RecordSweepTrace();
     };
     for (int it = 0; it < kDeltaBurnSweeps; ++it) sweep();

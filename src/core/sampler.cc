@@ -13,12 +13,10 @@ namespace core {
 namespace {
 constexpr int kEdgeDistanceBuckets = 4000;  // 1-mile buckets, CONUS scale
 
-// Independence-MH rounds per assignment draw in the fast kernels. Each
-// round is one O(1) alias proposal + one acceptance test; with proposals
-// one sync epoch stale, 3 rounds keep per-sweep movement statistically
-// indistinguishable from the exact blocked draw on the bench worlds
-// (Table-2 accuracy tracked within ±1% by BENCH_parallel's accuracy keys,
-// and ingest-vs-refit within ±1% by BENCH_streaming's).
+// Independence-MH rounds per assignment draw in the fast following
+// kernel. Each round is one O(1) alias proposal + one acceptance test;
+// with proposals one sync epoch stale, 3 rounds keep home accuracy within
+// ±1% of the exact blocked draw (BENCH_parallel's accuracy keys).
 constexpr int kMhRounds = 3;
 }
 
@@ -222,6 +220,7 @@ void GibbsSampler::SampleTweetingEdge(graph::EdgeId k, SuffStatsArena* stats,
   const graph::UserId i = edge.user;
   const graph::VenueId v = edge.venue;
   const CandidateView& prior_i = space_->view(i);
+  const int64_t num_venues = space_->layout().num_venues;
   double* phi_i = stats->phi_row(i);
 
   // --- remove ---
@@ -231,6 +230,7 @@ void GibbsSampler::SampleTweetingEdge(graph::EdgeId k, SuffStatsArena* stats,
     stats->phi_total[i] -= 1.0;
     stats->venue_row(z)[v] -= 1.0;
     stats->venue_counts_total[z] -= 1.0;
+    scratch->venue_cells.push_back(static_cast<int64_t>(z) * num_venues + v);
   }
 
   const int ni = prior_i.size();
@@ -264,6 +264,7 @@ void GibbsSampler::SampleTweetingEdge(graph::EdgeId k, SuffStatsArena* stats,
     stats->phi_total[i] += 1.0;
     stats->venue_row(z)[v] += 1.0;
     stats->venue_counts_total[z] += 1.0;
+    scratch->venue_cells.push_back(static_cast<int64_t>(z) * num_venues + v);
   } else {
     z_idx_[k] = SampleCandidate(scratch->a.data(), ni, rng);
   }
@@ -276,7 +277,9 @@ int GibbsSampler::MhResampleSlot(const ProposalRecord* row, int n,
   if (n <= 1) return 0;
   auto target = [&](int l) {
     double t = phi_u[l] + row[l].gamma;
-    if (t < 0.0) t = 0.0;  // deferred-sync transient; see engine README
+    // A fit's counts never go negative, but RestoreState does not
+    // sign-check a snapshot's; a clamped target keeps the accept test sane.
+    if (t < 0.0) t = 0.0;
     if (anchor != geo::kInvalidCity) {
       t *= pow_table_->Get(row[l].city, anchor);
     }
@@ -297,42 +300,6 @@ int GibbsSampler::MhResampleSlot(const ProposalRecord* row, int n,
         den > 0.0 ? rng->NextDouble() * den < num : num > 0.0;
     // Mixing tallies (plain ints, no RNG impact): acceptance rate per
     // sweep is a fit-health gauge on /metricsz.
-    if (scratch != nullptr) {
-      ++scratch->mh_proposed;
-      scratch->mh_accepted += accept ? 1 : 0;
-    }
-    if (accept) {
-      cur = prop;
-      t_cur = t_prop;
-      w_cur = w_prop;
-    }
-  }
-  return cur;
-}
-
-int GibbsSampler::MhResampleSlotVenue(const ProposalRecord* row, int n,
-                                      const double* phi_u, int cur,
-                                      graph::VenueId v,
-                                      const SuffStatsArena& stats,
-                                      Pcg32* rng,
-                                      GibbsScratch* scratch) const {
-  if (n <= 1) return 0;
-  auto target = [&](int l) {
-    double t = phi_u[l] + row[l].gamma;
-    if (t < 0.0) t = 0.0;
-    return t * VenueProb(row[l].city, v, stats);
-  };
-  double t_cur = target(cur);
-  double w_cur = row[cur].w;
-  for (int round = 0; round < kMhRounds; ++round) {
-    const int prop = ProposalTables::Draw(row, n, rng);
-    if (prop == cur) continue;
-    const double t_prop = target(prop);
-    const double w_prop = row[prop].w;
-    const double num = t_prop * w_cur;
-    const double den = t_cur * w_prop;
-    const bool accept =
-        den > 0.0 ? rng->NextDouble() * den < num : num > 0.0;
     if (scratch != nullptr) {
       ++scratch->mh_proposed;
       scratch->mh_accepted += accept ? 1 : 0;
@@ -401,57 +368,6 @@ void GibbsSampler::SampleFollowingEdgeFast(graph::EdgeId s,
   }
 }
 
-void GibbsSampler::SampleTweetingEdgeFast(graph::EdgeId k,
-                                          SuffStatsArena* stats,
-                                          GibbsScratch* scratch, Pcg32* rng,
-                                          const ProposalTables& proposals) {
-  const graph::TweetingEdge& edge = input_->graph->tweeting(k);
-  const graph::UserId i = edge.user;
-  const graph::VenueId v = edge.venue;
-  const SuffStatsLayout& layout = space_->layout();
-  const int n_i = layout.candidate_count(i);
-  const ProposalRecord* row_i = proposals.row(i);
-  const int64_t num_venues = layout.num_venues;
-  double* phi_i = stats->phi_row(i);
-
-  // --- remove ---
-  if (nu_[k] == 0) {
-    const geo::CityId z = row_i[z_idx_[k]].city;
-    phi_i[z_idx_[k]] -= 1.0;
-    stats->phi_total[i] -= 1.0;
-    stats->venue_row(z)[v] -= 1.0;
-    stats->venue_counts_total[z] -= 1.0;
-    scratch->venue_cells.push_back(static_cast<int64_t>(z) * num_venues + v);
-  }
-
-  // --- ν | z: O(1), same auxiliary-variable cancellation as μ ---
-  const geo::CityId cz = row_i[z_idx_[k]].city;
-  if (config_->model_noise && config_->rho_t > 0.0) {
-    const double w_random = config_->rho_t * random_models_->venue_prob[v];
-    const double w_location =
-        (1.0 - config_->rho_t) * VenueProb(cz, v, *stats);
-    const double denom = w_random + w_location;
-    nu_[k] = (denom > 0.0 && rng->Bernoulli(w_random / denom)) ? 1 : 0;
-  } else {
-    nu_[k] = 0;
-  }
-
-  // --- z | ν via alias-MH rounds ---
-  if (nu_[k] == 0) {
-    z_idx_[k] = MhResampleSlotVenue(row_i, n_i, phi_i, z_idx_[k], v, *stats,
-                                    rng, scratch);
-    const geo::CityId z = row_i[z_idx_[k]].city;
-    phi_i[z_idx_[k]] += 1.0;
-    stats->phi_total[i] += 1.0;
-    stats->venue_row(z)[v] += 1.0;
-    stats->venue_counts_total[z] += 1.0;
-    scratch->venue_cells.push_back(static_cast<int64_t>(z) * num_venues + v);
-  } else {
-    z_idx_[k] = MhResampleSlot(row_i, n_i, phi_i, z_idx_[k],
-                               geo::kInvalidCity, rng, scratch);
-  }
-}
-
 void GibbsSampler::RunSweep(Pcg32* rng) {
   if (UseFollowing()) {
     obs::ScopedSpan span(
@@ -468,6 +384,7 @@ void GibbsSampler::RunSweep(Pcg32* rng) {
     for (graph::EdgeId k = 0; k < input_->graph->num_tweeting(); ++k) {
       SampleTweetingEdge(k, &stats_, &scratch_, rng);
     }
+    scratch_.venue_cells.clear();  // no fold reads it on this path
   }
   RecordSweepTrace();
 }

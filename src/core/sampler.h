@@ -55,16 +55,17 @@ struct GibbsScratch {
   std::vector<double> a;    // θ̃ weights of the follower / tweeter
   std::vector<double> b;    // θ̃ weights of the friend
   std::vector<double> row;  // distance-marginalized row sums
-  /// Flat venue_counts cells written by the FAST tweeting kernel since the
+  /// Flat venue_counts cells written by SampleTweetingEdge since the
   /// caller last cleared it. The engine's sub-shard delta fold walks
   /// exactly this dirty set (plus the owned users' ϕ rows) instead of the
-  /// whole location×venue rectangle.
+  /// whole location×venue rectangle; single-stream sweeps clear it once
+  /// per sweep.
   std::vector<int64_t> venue_cells;
-  /// Alias-MH mixing tallies for this worker since the engine last folded
-  /// them (ISSUE 9): proposals that differed from the current assignment,
-  /// and how many of those were accepted. Plain ints — the owner is
-  /// single-threaded; the engine folds them into fit_mh_*_total at the
-  /// merge barrier.
+  /// Alias-MH mixing tallies of the following kernel for this worker since
+  /// the engine last folded them: proposals that differed from the current
+  /// assignment, and how many of those were accepted. Plain ints — the
+  /// owner is single-threaded; the engine folds them into fit_mh_*_total
+  /// at the merge barrier.
   int64_t mh_proposed = 0;
   int64_t mh_accepted = 0;
 };
@@ -221,46 +222,42 @@ class GibbsSampler {
   void SampleFollowingEdge(graph::EdgeId s, SuffStatsArena* stats,
                            GibbsScratch* scratch, Pcg32* rng);
 
-  /// Resamples (ν_k, z_k) for one tweeting relationship.
+  /// Resamples (ν_k, z_k) for one tweeting relationship, blocked over z
+  /// like the following update. Appends the venue cells it decrements and
+  /// increments to scratch->venue_cells (callers clear it).
   void SampleTweetingEdge(graph::EdgeId k, SuffStatsArena* stats,
                           GibbsScratch* scratch, Pcg32* rng);
 
-  // ---- alias-MH fast kernels (parallel engine hot path) ----
+  // ---- alias-MH following kernel (parallel engine hot path) ----
   //
-  // Same per-edge conditionals, restructured so the work per edge is O(1)
-  // plus a constant number of Metropolis–Hastings rounds, instead of the
-  // blocked update's O(n_i · n_j) grid marginalization:
+  // The same (μ_s, x_s, y_s) conditionals, restructured so the work per
+  // edge is O(1) plus a constant number of Metropolis–Hastings rounds,
+  // instead of the blocked update's O(n_i · n_j) grid marginalization:
   //
-  //   1. μ (resp. ν) is resampled CONDITIONED on the current assignments.
-  //     Treating the latent assignments of noise-flagged edges as auxiliary
-  //     variables drawn from θ̃ (exactly what the blocked kernels do), the
+  //   1. μ is resampled CONDITIONED on the current assignments. Treating
+  //     the latent assignments of noise-flagged edges as auxiliary
+  //     variables drawn from θ̃ (exactly what the blocked kernel does), the
   //     θ̃ factors cancel between the branches and the odds collapse to
   //     p(μ=1)/p(μ=0) = ρ_f·R_f / ((1−ρ_f)·β·d^α(c_x, c_y)) — one PowTable
   //     read, no marginalization. Integrating the auxiliary draws back out
   //     recovers the blocked kernel's stationary distribution.
-  //   2. x | μ, y (then y | μ, x, and z | ν) are resampled by a few
-  //     independence-MH rounds: proposals come from the epoch-stale
-  //     per-user alias tables (O(1) each), and the acceptance ratio
+  //   2. x | μ, y then y | μ, x are resampled by a few independence-MH
+  //     rounds: proposals come from the epoch-stale per-user alias tables
+  //     (O(1) each), and the acceptance ratio
   //     α = min(1, t(l')·ŵ(l) / (t(l)·ŵ(l'))) corrects the staleness
-  //     against the live target t(l) = (ϕ+γ)(l) · [d^α / ψ_l(v) factor].
+  //     against the live target t(l) = (ϕ+γ)(l) · d^α.
   //
-  // The chain they produce is a different (but equally valid) Markov chain
-  // over the same posterior — the sequential path keeps the exact blocked
-  // kernels, which is what keeps 1-thread mode bit-identical. The fast
-  // tweeting kernel also logs every venue cell it touches into
-  // scratch->venue_cells (callers clear it per batch).
+  // The unblocked draws mix more slowly than the blocked kernel and keep
+  // more posterior mass on users' home locations. Only the parallel engine
+  // runs this kernel; sequential sweeps run the exact kernels for both
+  // edge kinds, and tweeting edges run SampleTweetingEdge at every thread
+  // count.
 
   /// Fast (μ_s, x_s, y_s) resample. `proposals` must be built over this
   /// sampler's space at the current layout.
   void SampleFollowingEdgeFast(graph::EdgeId s, SuffStatsArena* stats,
                                GibbsScratch* scratch, Pcg32* rng,
                                const ProposalTables& proposals);
-
-  /// Fast (ν_k, z_k) resample; appends touched cells to
-  /// scratch->venue_cells.
-  void SampleTweetingEdgeFast(graph::EdgeId k, SuffStatsArena* stats,
-                              GibbsScratch* scratch, Pcg32* rng,
-                              const ProposalTables& proposals);
 
   /// Independence-MH rounds for one assignment slot over a user's `n`
   /// proposal records (ProposalTables::row) and live counts `phi_u`.
@@ -273,12 +270,6 @@ class GibbsSampler {
   int MhResampleSlot(const ProposalRecord* row, int n, const double* phi_u,
                      int cur, geo::CityId anchor, Pcg32* rng,
                      GibbsScratch* scratch) const;
-
-  /// Same, with the tweeting target t(l) = max(0, ϕ_u[l]+γ[l]) · ψ_l(v).
-  int MhResampleSlotVenue(const ProposalRecord* row, int n,
-                          const double* phi_u, int cur, graph::VenueId v,
-                          const SuffStatsArena& stats, Pcg32* rng,
-                          GibbsScratch* scratch) const;
 
   /// The shared arena shape — a reference into the candidate space, which
   /// owns it (stable address across compactions).

@@ -198,10 +198,10 @@ void ParallelGibbsEngine::FoldShardDelta(int sub_shard, int slot) {
   }
 
   // The venue rectangle is location×venue — far too wide to diff per
-  // sub-shard — so the fast tweeting kernel logs exactly the cells it
-  // touched. Duplicate log entries are harmless: after the first visit the
-  // replica cell equals the global again and the diff is zero. Totals piggy-
-  // back on the logged cells' locations the same way.
+  // sub-shard — so the tweeting kernel logs exactly the cells it touched.
+  // Duplicate log entries are harmless: after the first visit the replica
+  // cell equals the global again and the diff is zero. Totals piggy-back on
+  // the logged cells' locations the same way.
   core::GibbsScratch* scratch = &scratches_[slot];
   if (!scratch->venue_cells.empty()) {
     const int64_t num_venues = layout.num_venues;
@@ -300,11 +300,12 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
     sampler_->RunSweep(rng);
     return;
   }
-  if (!replicas_fresh_) RefreshReplicas();
-  if (proposals_stale_) RebuildProposals();
-
   const bool use_following = sampler_->UseFollowing();
   const bool use_tweeting = sampler_->UseTweeting();
+  if (!replicas_fresh_) RefreshReplicas();
+  // Only the following kernel draws from the proposal tables.
+  if (proposals_stale_ && use_following) RebuildProposals();
+
   const int num_sub = static_cast<int>(shards_.size());
   sub_kernel_ns_.assign(num_sub, 0);
   thread_busy_ns_.assign(num_threads_, 0);
@@ -345,8 +346,7 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
       }
       if (use_tweeting) {
         for (graph::EdgeId t : shard.tweeting) {
-          sampler_->SampleTweetingEdgeFast(t, replica, scratch, shard_rng,
-                                           proposals_);
+          sampler_->SampleTweetingEdge(t, replica, scratch, shard_rng);
         }
       }
       const int64_t kernel_ns = obs::EndSpan(Counters().shard_kernel_ns,
@@ -374,9 +374,9 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
     if (barrier_ns > 0) {
       Counters().barrier_wait_ns->Add(static_cast<uint64_t>(barrier_ns));
     }
-    // Fold this sweep's alias-MH mixing tallies from the worker scratches
-    // (workers are quiesced at this point, so plain reads are safe) and
-    // publish the acceptance rate as a gauge.
+    // Fold this sweep's alias-MH tallies (following edges only) from the
+    // worker scratches (workers are quiesced at this point, so plain reads
+    // are safe) and publish the acceptance rate as a gauge.
     int64_t proposed = 0;
     int64_t accepted = 0;
     for (core::GibbsScratch& scratch : scratches_) {
@@ -408,11 +408,11 @@ void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
 
 void ParallelGibbsEngine::ReshardByCost() {
   // Per-user cost = the exact update's inner-loop work over the ACTIVE
-  // candidate rows. (The fast kernels are ~O(|cand_i|) per edge, but the
-  // candidate-product measure still orders users correctly and the EWMA
-  // feedback corrects the residual error within a few sweeps.) Recomputed
-  // from scratch each compaction — pruning is rare and the pass is linear
-  // in the edge lists.
+  // candidate rows. (The alias-MH following kernel is ~O(|cand_i|) per
+  // edge, but the candidate-product measure still orders users correctly
+  // and the EWMA feedback corrects the residual error within a few
+  // sweeps.) Recomputed from scratch each compaction — pruning is rare and
+  // the pass is linear in the edge lists.
   const graph::SocialGraph& graph = *input_->graph;
   shards_ = GraphSharder::Partition(
       graph, num_threads_ * kSubShardsPerThread,

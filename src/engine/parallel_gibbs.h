@@ -27,16 +27,18 @@ namespace engine {
 /// pull the next one, so a mis-predicted shard cost degrades the balance by
 /// at most one sub-shard instead of one thread's whole sweep.
 ///
-/// A worker runs a sub-shard's edges through the sampler's FAST alias-MH
-/// kernels (GibbsSampler::Sample*EdgeFast) against the worker's
+/// A worker runs a sub-shard's following edges through the sampler's
+/// alias-MH kernel (GibbsSampler::SampleFollowingEdgeFast) and its
+/// tweeting edges through the exact blocked kernel
+/// (GibbsSampler::SampleTweetingEdge), both against the worker's
 /// thread-local statistics replica, then immediately FOLDS the sub-shard's
 /// delta out of the replica into the worker's delta accumulator and reverts
 /// the replica to the global values. The fold touches only the sub-shard's
-/// user rows plus the venue cells the kernels logged, and it re-establishes
-/// the invariant `replica == global counts` before the next sub-shard runs
-/// — which makes the chain a pure function of (global state, per-sub-shard
-/// RNG streams): WHICH worker runs a sub-shard, and in WHAT order, is
-/// semantically neutral. Counts are integer-valued doubles, so the merge
+/// user rows plus the venue cells the tweeting kernel logged, and it
+/// re-establishes the invariant `replica == global counts` before the next
+/// sub-shard runs — which makes the chain a pure function of (global state,
+/// per-sub-shard RNG streams): WHICH worker runs a sub-shard, and in WHAT
+/// order, is semantically neutral. Counts are integer-valued doubles, so the merge
 /// arithmetic is exact and the engine stays run-to-run deterministic for a
 /// fixed (seed, num_threads) even under dynamic scheduling.
 ///
@@ -48,11 +50,12 @@ namespace engine {
 /// single barrier instead of a serial merge followed by a serial (or
 /// separate) refresh. The per-user alias proposal tables
 /// (core::ProposalTables) are then rebuilt in parallel from the merged
-/// counts; they stay frozen for the next sweep and the kernels' MH
-/// acceptance ratio corrects their staleness.
+/// counts; they stay frozen for the next sweep and the following kernel's
+/// MH acceptance ratio corrects their staleness.
 ///
 /// With `config->num_threads <= 1` every call delegates to the sequential
-/// `GibbsSampler`, using the caller's RNG and the exact blocked kernels —
+/// `GibbsSampler`, using the caller's RNG and the exact blocked kernels for
+/// both edge kinds —
 /// results are bit-for-bit identical to not using the engine at all. With N
 /// threads each sub-shard draws from its own Pcg32 stream derived from
 /// `config->seed`, so the chain is independent of thread scheduling but
@@ -152,7 +155,8 @@ class ParallelGibbsEngine {
   void RebuildProposals();
   /// Moves sub-shard `k`'s delta out of worker `slot`'s replica into its
   /// accumulator and reverts the replica to the global values — only the
-  /// sub-shard's touched user rows plus the kernels' logged venue cells.
+  /// sub-shard's touched user rows plus the tweeting kernel's logged venue
+  /// cells.
   void FoldShardDelta(int sub_shard, int slot);
   /// Re-partitions sub-shards with per-user costs = Σ active-candidate
   /// products of owned relationships, then rebuilds touch sets and resets

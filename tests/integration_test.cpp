@@ -2,10 +2,13 @@
 // claims on a moderately hard synthetic world — MLP beats both baselines on
 // home prediction (Tab. 2 shape), beats them on multi-location recall
 // (Tab. 3 shape), and explains relationships better than home assignment
-// (Fig. 8 shape). Also exercises the full text pipeline and dataset
+// (Fig. 8 shape). The Fig. 4 and Fig. 8 shapes are also checked on 2- and
+// 4-worker fits. Also exercises the full text pipeline and dataset
 // persistence end to end.
 
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,7 +39,11 @@ synth::WorldConfig HardConfig() {
 
 class IntegrationTest : public ::testing::Test {
  protected:
+  // Built once per process and shared by both suites below, so the
+  // per-thread-count suite does not regenerate the world or refit the
+  // lineup.
   static void SetUpTestSuite() {
+    if (world_ != nullptr) return;
     world_ = new synth::SyntheticWorld(
         std::move(synth::GenerateWorld(HardConfig()).ValueOrDie()));
     referents_ = new std::vector<std::vector<geo::CityId>>(
@@ -46,23 +53,22 @@ class IntegrationTest : public ::testing::Test {
     folds_ = new eval::FoldAssignment(eval::MakeKFolds(*registered_, 5, 21));
 
     // Fit all five methods once; individual tests assert on the shapes.
-    core::MlpConfig mlp_config;
-    mlp_config.burn_in_iterations = 10;
-    mlp_config.sampling_iterations = 12;
     outputs_ = new std::map<std::string, eval::MethodOutput>();
     core::ModelInput input = MakeInputStatic();
-    for (const eval::NamedMethod& nm : eval::StandardLineup(mlp_config)) {
+    for (const eval::NamedMethod& nm : eval::StandardLineup(MlpConfigAt(1))) {
       Result<eval::MethodOutput> out = nm.method(input);
       ASSERT_TRUE(out.ok()) << nm.name;
       (*outputs_)[nm.name] = std::move(out).ValueOrDie();
     }
   }
-  static void TearDownTestSuite() {
-    delete world_;
-    delete referents_;
-    delete registered_;
-    delete folds_;
-    delete outputs_;
+
+  /// The MLP sweep program of every fit here, at `num_threads` workers.
+  static core::MlpConfig MlpConfigAt(int num_threads) {
+    core::MlpConfig config;
+    config.burn_in_iterations = 10;
+    config.sampling_iterations = 12;
+    config.num_threads = num_threads;
+    return config;
   }
 
   static core::ModelInput MakeInputStatic() {
@@ -76,9 +82,65 @@ class IntegrationTest : public ::testing::Test {
   }
 
   static double TestAcc(const std::string& method, double miles = 100.0) {
-    return eval::AccuracyWithin(outputs_->at(method).home, *registered_,
-                                folds_->TestUsers(0), *world_->distances,
-                                miles);
+    return HomeAcc(outputs_->at(method).home, miles);
+  }
+
+  static double HomeAcc(const std::vector<geo::CityId>& home, double miles) {
+    return eval::AccuracyWithin(home, *registered_, folds_->TestUsers(0),
+                                *world_->distances, miles);
+  }
+
+  /// Fig. 4: MLP's home ordering over both baselines holds at every
+  /// distance level.
+  static void ExpectImprovementsAcrossDistances(
+      const std::vector<geo::CityId>& mlp_home) {
+    for (double miles : {20.0, 60.0, 100.0, 140.0}) {
+      EXPECT_GT(HomeAcc(mlp_home, miles) + 0.03, TestAcc("BaseU", miles))
+          << "at " << miles;
+      EXPECT_GT(HomeAcc(mlp_home, miles) + 0.03, TestAcc("BaseC", miles))
+          << "at " << miles;
+    }
+  }
+
+  /// Fig. 8: MLP's relationship explanations beat assigning both endpoints
+  /// their true home.
+  static void ExpectExplainsBetterThanHomeBaseline(
+      const std::vector<core::FollowingExplanation>& mlp_following) {
+    // Ground truth mirroring the Sec. 5.3 labeling protocol: relationships
+    // of multi-location users "in which users' location assignments could
+    // be clearly identified by their shared regions" — i.e. location-based
+    // edges whose true assignments sit in one region (within 50 miles).
+    std::vector<graph::EdgeId> eval_edges;
+    std::vector<std::pair<geo::CityId, geo::CityId>> truth(
+        world_->truth.following.size(),
+        {geo::kInvalidCity, geo::kInvalidCity});
+    for (size_t s = 0; s < world_->truth.following.size(); ++s) {
+      const synth::FollowingTruth& t = world_->truth.following[s];
+      if (t.noisy) continue;
+      truth[s] = {t.x, t.y};
+      if (world_->distances->raw_miles(t.x, t.y) > 50.0) continue;
+      const graph::FollowingEdge& e =
+          world_->graph->following(static_cast<graph::EdgeId>(s));
+      if (world_->truth.profiles[e.follower].IsMultiLocation() ||
+          world_->truth.profiles[e.friend_user].IsMultiLocation()) {
+        eval_edges.push_back(static_cast<graph::EdgeId>(s));
+      }
+    }
+    ASSERT_GT(eval_edges.size(), 200u);
+
+    // Base: true home locations as assignments (the paper's strong
+    // variant).
+    std::vector<geo::CityId> true_homes(world_->graph->num_users());
+    for (graph::UserId u = 0; u < world_->graph->num_users(); ++u) {
+      true_homes[u] = world_->truth.profiles[u].home();
+    }
+    auto base = baselines::ExplainByHome(*world_->graph, true_homes);
+
+    double mlp_acc = eval::RelationshipAccuracy(
+        mlp_following, truth, eval_edges, *world_->distances, 100.0);
+    double base_acc = eval::RelationshipAccuracy(base, truth, eval_edges,
+                                                 *world_->distances, 100.0);
+    EXPECT_GT(mlp_acc, base_acc);
   }
 
   /// Multi-location users among ALL labeled users whose locations are
@@ -157,13 +219,7 @@ TEST_F(IntegrationTest, CombiningSourcesHelps) {
 }
 
 TEST_F(IntegrationTest, ImprovementsHoldAcrossDistances) {
-  // Fig. 4: the ordering holds at every distance level.
-  for (double miles : {20.0, 60.0, 100.0, 140.0}) {
-    EXPECT_GT(TestAcc("MLP", miles) + 0.03, TestAcc("BaseU", miles))
-        << "at " << miles;
-    EXPECT_GT(TestAcc("MLP", miles) + 0.03, TestAcc("BaseC", miles))
-        << "at " << miles;
-  }
+  ExpectImprovementsAcrossDistances(outputs_->at("MLP").home);
 }
 
 // ----------------------------------------------------- Table 3 shape
@@ -188,49 +244,52 @@ TEST_F(IntegrationTest, BaselineRecallBarelyGrowsWithK) {
 // ------------------------------------------------------- Fig. 8 shape
 
 TEST_F(IntegrationTest, MlpExplainsRelationshipsBetterThanHomeBaseline) {
-  core::MlpConfig config;
-  config.burn_in_iterations = 10;
-  config.sampling_iterations = 12;
-  core::MlpModel model(config);
-  core::ModelInput input = MakeInputStatic();
-  Result<core::MlpResult> result = model.Fit(input);
+  Result<core::MlpResult> result =
+      core::MlpModel(MlpConfigAt(1)).Fit(MakeInputStatic());
   ASSERT_TRUE(result.ok());
-
-  // Ground truth mirroring the Sec. 5.3 labeling protocol: relationships of
-  // multi-location users "in which users' location assignments could be
-  // clearly identified by their shared regions" — i.e. location-based
-  // edges whose true assignments sit in one region (within 50 miles).
-  std::vector<graph::EdgeId> eval_edges;
-  std::vector<std::pair<geo::CityId, geo::CityId>> truth(
-      world_->truth.following.size(),
-      {geo::kInvalidCity, geo::kInvalidCity});
-  for (size_t s = 0; s < world_->truth.following.size(); ++s) {
-    const synth::FollowingTruth& t = world_->truth.following[s];
-    if (t.noisy) continue;
-    truth[s] = {t.x, t.y};
-    if (world_->distances->raw_miles(t.x, t.y) > 50.0) continue;
-    const graph::FollowingEdge& e =
-        world_->graph->following(static_cast<graph::EdgeId>(s));
-    if (world_->truth.profiles[e.follower].IsMultiLocation() ||
-        world_->truth.profiles[e.friend_user].IsMultiLocation()) {
-      eval_edges.push_back(static_cast<graph::EdgeId>(s));
-    }
-  }
-  ASSERT_GT(eval_edges.size(), 200u);
-
-  // Base: true home locations as assignments (the paper's strong variant).
-  std::vector<geo::CityId> true_homes(world_->graph->num_users());
-  for (graph::UserId u = 0; u < world_->graph->num_users(); ++u) {
-    true_homes[u] = world_->truth.profiles[u].home();
-  }
-  auto base = baselines::ExplainByHome(*world_->graph, true_homes);
-
-  double mlp_acc = eval::RelationshipAccuracy(
-      result->following, truth, eval_edges, *world_->distances, 100.0);
-  double base_acc = eval::RelationshipAccuracy(base, truth, eval_edges,
-                                               *world_->distances, 100.0);
-  EXPECT_GT(mlp_acc, base_acc);
+  ExpectExplainsBetterThanHomeBaseline(result->following);
 }
+
+// ------------------------------------- paper gates at 2 and 4 workers
+
+// The parallel engine runs a different chain than the sequential fit; the
+// Fig. 4 and Fig. 8 shapes must hold on it too, with the same bounds,
+// world and sweep program. One fit per worker count serves both gates.
+class IntegrationWorkersTest : public IntegrationTest,
+                               public ::testing::WithParamInterface<int> {
+ protected:
+  /// The fit at `num_threads` workers, or null if it failed.
+  static const core::MlpResult* FitAtWorkers(int num_threads) {
+    static std::map<int, Result<core::MlpResult>>* fits =
+        new std::map<int, Result<core::MlpResult>>();
+    auto it = fits->find(num_threads);
+    if (it == fits->end()) {
+      it = fits->emplace(num_threads, core::MlpModel(MlpConfigAt(num_threads))
+                                          .Fit(MakeInputStatic()))
+               .first;
+    }
+    return it->second.ok() ? &*it->second : nullptr;
+  }
+};
+
+TEST_P(IntegrationWorkersTest, ImprovementsHoldAcrossDistances) {
+  const core::MlpResult* fit = FitAtWorkers(GetParam());
+  ASSERT_NE(fit, nullptr);
+  ExpectImprovementsAcrossDistances(fit->home);
+}
+
+TEST_P(IntegrationWorkersTest,
+       MlpExplainsRelationshipsBetterThanHomeBaseline) {
+  const core::MlpResult* fit = FitAtWorkers(GetParam());
+  ASSERT_NE(fit, nullptr);
+  ExpectExplainsBetterThanHomeBaseline(fit->following);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, IntegrationWorkersTest,
+                         ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "W" + std::to_string(info.param);
+                         });
 
 // --------------------------------------------- text pipeline end to end
 

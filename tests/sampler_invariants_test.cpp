@@ -172,7 +172,7 @@ TEST_F(SamplerInvariantsTest, AssignmentHistogramBoundedByLabeledEdges) {
 // packed ProposalRecord rows replaced: alias buckets from
 // AliasTable::BuildInto, draws via AliasTable::SampleFrom, stale weights in
 // `w`, and γ / candidate cities read from their own arrays. The packed
-// GibbsSampler::MhResampleSlot{,Venue} must replay it draw for draw.
+// GibbsSampler::MhResampleSlot must replay it draw for draw.
 constexpr int kReferenceMhRounds = 3;  // GibbsSampler's kMhRounds
 
 struct ReferenceRow {
@@ -198,8 +198,8 @@ ReferenceRow BuildReferenceRow(const std::vector<double>& phi_stale,
   return row;
 }
 
-// `factor(l)` is the target's non-count factor: d^α to the anchor, 1 when
-// unanchored, or the venue probability ψ_l(v).
+// `factor(l)` is the target's non-count factor: d^α to the anchor, or 1
+// when unanchored.
 template <typename Factor>
 int ReferenceMhResample(const ReferenceRow& row, const double* phi_u,
                         const std::vector<double>& gamma, int cur,
@@ -248,23 +248,17 @@ TEST_F(SamplerInvariantsTest, PackedMhStepMatchesThreeArrayReference) {
   RandomModels models = RandomModels::Learn(*input.graph);
   PowTable pow_table(input.distances, config.alpha);
   GibbsSampler sampler(&input, &config, &space, &models, &pow_table);
-  Pcg32 init_rng(11);
-  sampler.Initialize(&init_rng);  // live venue counts for ψ_l(v)
-  const SuffStatsArena& stats = sampler.stats();
   const int num_cities = input.num_locations();
-  const int num_venues = input.num_venues();
-  ASSERT_GT(num_venues, 0);
-  const double venue_total = static_cast<double>(num_venues);
 
   const int kSizes[] = {1, 2, 3, 5, 8, 17, 40};
-  enum Target { kUnanchored, kAnchored, kVenue };
+  enum Target { kUnanchored, kAnchored };
   Pcg32 gen(2024);
   ProposalBuildScratch build_scratch;
   int64_t moves = 0;
   bool saw_zero_row = false, saw_negative = false;
   for (int trial = 0; trial < 3000; ++trial) {
     const int n = kSizes[trial % 7];
-    const Target kind = static_cast<Target>((trial / 7) % 3);
+    const Target kind = static_cast<Target>((trial / 7) % 2);
     // Row shape: 1 in 5 rows has every stale weight at zero (the
     // degenerate uniform table); otherwise stale ϕ are small counts.
     const bool zero_row = (trial / 21) % 5 == 0;
@@ -275,8 +269,9 @@ TEST_F(SamplerInvariantsTest, PackedMhStepMatchesThreeArrayReference) {
       gamma[l] = 0.01 + 2.0 * gen.NextDouble();
       phi_stale[l] = zero_row ? -gamma[l] - gen.NextDouble()
                               : static_cast<double>(gen.UniformU32(6));
-      // Live counts drift from the stale row; 1 in 6 slots is a negative
-      // deferred-sync transient that the target clamps to zero.
+      // Live counts drift from the stale row; 1 in 6 slots is negative,
+      // as an unchecked restored snapshot may hold, and the target clamps
+      // it to zero.
       phi_live[l] = gen.UniformU32(6) == 0
                         ? -gamma[l] - 1.0 - gen.NextDouble()
                         : static_cast<double>(gen.UniformU32(8));
@@ -286,8 +281,6 @@ TEST_F(SamplerInvariantsTest, PackedMhStepMatchesThreeArrayReference) {
     const int cur = static_cast<int>(gen.UniformU32(n));
     const geo::CityId anchor =
         static_cast<geo::CityId>(gen.UniformU32(num_cities));
-    const graph::VenueId venue =
-        static_cast<graph::VenueId>(gen.UniformU32(num_venues));
 
     const ReferenceRow ref_row = BuildReferenceRow(phi_stale, gamma);
     std::vector<ProposalRecord> records(n);
@@ -319,19 +312,6 @@ TEST_F(SamplerInvariantsTest, PackedMhStepMatchesThreeArrayReference) {
         packed_slot = sampler.MhResampleSlot(records.data(), n,
                                              phi_live.data(), cur, anchor,
                                              &packed_rng, &packed_tally);
-        break;
-      case kVenue:
-        ref_slot = ReferenceMhResample(
-            ref_row, phi_live.data(), gamma, cur,
-            [&](int l) {
-              return (stats.venue_row(cities[l])[venue] + config.delta) /
-                     (stats.venue_counts_total[cities[l]] +
-                      config.delta * venue_total);
-            },
-            true, &ref_rng, &ref_tally);
-        packed_slot = sampler.MhResampleSlotVenue(
-            records.data(), n, phi_live.data(), cur, venue, stats,
-            &packed_rng, &packed_tally);
         break;
     }
     ASSERT_EQ(packed_slot, ref_slot) << "trial " << trial << " n=" << n;

@@ -236,7 +236,7 @@ live_pipeline() {
 bench_micro() {
   local bench="${1:?bench_micro path}"
   # BM_JsonDouble/BM_ReadModelBuild keep the serve-section render cost in
-  # the job log, BM_EngineSweepW2 the two-worker alias-MH sweep's. No
+  # the job log, BM_EngineSweepW2 the two-worker engine sweep's. No
   # wall-clock bound on either. Bare-double min_time parses on every
   # google-benchmark vintage; the "0.01s" suffix form is rejected before 1.8.
   "$bench" \

@@ -135,12 +135,16 @@ constexpr int kExitUsage = 3;
 // Parses "--key value", "--key=value" and bare boolean "--key" flags. A
 // token starting with "--" is never consumed as a value, and "=" binds a
 // value to its own flag explicitly, so a boolean flag directly followed by
-// another "--" flag can no longer steal or shift the next flag's value.
+// another "--" flag can no longer steal or shift the next flag's value. The
+// first token that is neither a flag nor a flag's value lands in *stray.
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
+                                              int first, std::string* stray) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      if (stray->empty()) *stray = argv[i];
+      continue;
+    }
     std::string token = argv[i] + 2;
     std::string::size_type eq = token.find('=');
     if (eq != std::string::npos) {
@@ -162,16 +166,27 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
-// Validated numeric flag access. Every numeric flag goes through one of
-// these; a value that is not fully numeric ("--port x", "--users 10k",
-// "--prune_floor 0.1.2") is a usage error — exit code 3 with the
-// subcommand's usage line — instead of atoi's silent zero. The first bad
-// flag is reported; callers check ok() once after reading all flags.
+// Validated numeric (and boolean) flag access. Every numeric or boolean
+// flag goes through one of these; a value that is not fully numeric
+// ("--port x", "--users 10k", "--prune_floor 0.1.2") or a boolean value
+// other than 0 or 1 ("--warm extra") is a usage error — exit code 3 with
+// the subcommand's usage line — instead of atoi's silent zero or a
+// swallowed argument. The first bad flag is reported; callers check ok()
+// once after reading all flags.
 class NumericFlags {
  public:
   NumericFlags(const std::map<std::string, std::string>& flags,
                std::string command)
       : flags_(flags), command_(std::move(command)) {}
+
+  // A bare "--key" (stored as "1"), "--key 1" or "--key=1" is on; "0" is
+  // off; an absent flag is off.
+  bool Bool(const std::string& key) {
+    auto it = flags_.find(key);
+    if (it == flags_.end() || it->second == "0") return false;
+    if (it->second != "1") Fail(key, it->second);
+    return it->second == "1";
+  }
 
   int Int(const std::string& key, int fallback) {
     return static_cast<int>(Integer(key, fallback));
@@ -360,7 +375,7 @@ int CmdGenWorld(const std::map<std::string, std::string>& flags) {
   config.avg_friends = numeric.Double("avg_friends", config.avg_friends);
   config.avg_tweeted_venues =
       numeric.Double("avg_venues", config.avg_tweeted_venues);
-  const bool stream = FlagOr(flags, "stream", "0") != "0";
+  const bool stream = numeric.Bool("stream");
   const int chunk = numeric.Int("chunk", 65536);
   if (!numeric.ok()) return UsageFor("genworld");
 
@@ -463,12 +478,11 @@ core::ModelInput FullInput(
 // Applies the pruning flags onto `config`. Absent flags leave the config
 // untouched (fit: the MlpConfig defaults; resume: the stored policy), and
 // an explicit --no_prune always wins.
-void ApplyPruneFlags(const std::map<std::string, std::string>& flags,
-                     NumericFlags* numeric, core::MlpConfig* config) {
+void ApplyPruneFlags(NumericFlags* numeric, core::MlpConfig* config) {
   config->prune_floor = numeric->Double("prune_floor", config->prune_floor);
   config->prune_patience =
       numeric->Int("prune_patience", config->prune_patience);
-  if (FlagOr(flags, "no_prune", "0") != "0") config->prune_floor = 0.0;
+  if (numeric->Bool("no_prune")) config->prune_floor = 0.0;
 }
 
 int SweepsDone(const core::FitCheckpoint& checkpoint) {
@@ -516,10 +530,9 @@ int SaveSnapshotTo(const std::string& path, const core::ModelInput& input,
 // errored fit can't leave a dangling recorder pointer installed.
 class FitProfileSession {
  public:
-  FitProfileSession(const std::map<std::string, std::string>& flags,
-                    int num_threads)
-      : profile_(FlagOr(flags, "profile", "0") != "0"),
-        trace_path_(FlagOr(flags, "trace", "")),
+  FitProfileSession(bool profile, std::string trace_path, int num_threads)
+      : profile_(profile),
+        trace_path_(std::move(trace_path)),
         num_threads_(num_threads) {
     if (profile_) before_ = obs::Registry::Global().CounterValues();
     if (!trace_path_.empty()) obs::SetTraceRecorder(&recorder_);
@@ -594,13 +607,14 @@ int CmdFit(const std::map<std::string, std::string>& flags) {
   config.num_threads = std::max(1, numeric.Int("threads", 1));
   config.gibbs_em_rounds = numeric.Int("em-rounds", 0);
   config.seed = numeric.U64("seed", 1234);
-  ApplyPruneFlags(flags, &numeric, &config);
+  ApplyPruneFlags(&numeric, &config);
 
   core::FitCheckpoint checkpoint;
   core::FitOptions opts;
   opts.max_total_sweeps = numeric.Int("max-sweeps", -1);
   opts.mem_budget_mb = numeric.Int("mem_budget_mb", 0);
   opts.checkpoint_out = &checkpoint;
+  const bool profile = numeric.Bool("profile");
   if (!numeric.ok()) return UsageFor("fit");
 
   Result<LoadedWorld> world = LoadWorld(dir);
@@ -611,7 +625,8 @@ int CmdFit(const std::map<std::string, std::string>& flags) {
   }
   auto referents = world->vocab.ReferentTable();
   core::ModelInput input = FullInput(*world, referents);
-  FitProfileSession session(flags, config.num_threads);
+  FitProfileSession session(profile, FlagOr(flags, "trace", ""),
+                            config.num_threads);
   Result<core::MlpResult> result = core::MlpModel(config).Fit(input, opts);
   if (!result.ok()) {
     std::fprintf(stderr, "fit failed: %s\n",
@@ -649,7 +664,7 @@ int CmdResume(const std::map<std::string, std::string>& flags) {
   // snapshot can resume WITH pruning, or a pruned one finish without).
   NumericFlags numeric(flags, "resume");
   core::MlpConfig config = snapshot->checkpoint.config;
-  ApplyPruneFlags(flags, &numeric, &config);
+  ApplyPruneFlags(&numeric, &config);
   snapshot->checkpoint.config = config;
   core::FitCheckpoint checkpoint;
   core::FitOptions opts;
@@ -657,8 +672,10 @@ int CmdResume(const std::map<std::string, std::string>& flags) {
   opts.mem_budget_mb = numeric.Int("mem_budget_mb", 0);
   opts.warm_start = &snapshot->checkpoint;
   opts.checkpoint_out = &checkpoint;
+  const bool profile = numeric.Bool("profile");
   if (!numeric.ok()) return UsageFor("resume");
-  FitProfileSession session(flags, config.num_threads);
+  FitProfileSession session(profile, FlagOr(flags, "trace", ""),
+                            config.num_threads);
   Result<core::MlpResult> result = core::MlpModel(config).Fit(input, opts);
   if (!result.ok()) {
     std::fprintf(stderr, "resume failed: %s\n",
@@ -751,7 +768,7 @@ int CmdEval(const std::map<std::string, std::string>& flags) {
   std::string method = FlagOr(flags, "method", "all");
   int threads = numeric.Int("threads", 1);
   if (threads < 1) threads = 1;
-  bool warm = FlagOr(flags, "warm", "0") != "0";
+  bool warm = numeric.Bool("warm");
   if (!numeric.ok()) return UsageFor("eval");
 
   Result<LoadedWorld> world = LoadWorld(dir);
@@ -772,16 +789,15 @@ int CmdEval(const std::map<std::string, std::string>& flags) {
   core::MlpConfig config;
   config.burn_in_iterations = 10;
   config.sampling_iterations = 14;
-  ApplyPruneFlags(flags, &numeric, &config);
-  if (!numeric.ok()) return UsageFor("eval");
+  ApplyPruneFlags(&numeric, &config);
   // The MLP_PR row appears when pruning is requested AND actually on: an
   // explicit --prune_floor 0 or --no_prune means no pruned variant at all
   // (MakePrunedMlpMethod would otherwise resurrect the default floor).
-  const bool disabled = FlagOr(flags, "no_prune", "0") != "0" ||
+  const bool disabled = numeric.Bool("no_prune") ||
                         (flags.count("prune_floor") && config.prune_floor <= 0.0);
   const bool prune =
-      !disabled &&
-      (FlagOr(flags, "prune", "0") != "0" || config.prune_floor > 0.0);
+      !disabled && (numeric.Bool("prune") || config.prune_floor > 0.0);
+  if (!numeric.ok()) return UsageFor("eval");
   io::TablePrinter table({"method", "ACC@100", "ACC@20"});
   for (const eval::NamedMethod& nm :
        eval::StandardLineup(config, threads, warm, prune)) {
@@ -1117,11 +1133,11 @@ int ServeLoop(serve::ModelServer& server,
 int CmdServe(const std::map<std::string, std::string>& flags) {
   std::string dir = FlagOr(flags, "data", "");
   std::string load = FlagOr(flags, "load", "");
-  const bool mmap = FlagOr(flags, "mmap", "0") != "0";
-  if (load.empty() || (dir.empty() && !mmap)) return UsageFor("serve");
-  const bool selfcheck = FlagOr(flags, "selfcheck", "0") != "0";
-
   NumericFlags numeric(flags, "serve");
+  const bool mmap = numeric.Bool("mmap");
+  if (load.empty() || (dir.empty() && !mmap)) return UsageFor("serve");
+  const bool selfcheck = numeric.Bool("selfcheck");
+
   serve::ServeOptions options;
   // Ephemeral port under --selfcheck so smoke runs never collide.
   options.port = numeric.Int("port", selfcheck ? 0 : 8080);
@@ -1377,7 +1393,8 @@ int CmdPack(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  auto flags = ParseFlags(argc, argv, 2);
+  std::string stray;
+  auto flags = ParseFlags(argc, argv, 2, &stray);
   // Global verbosity: MLP_LOG_LEVEL (read at static init) set the
   // baseline; an explicit --log_level on any subcommand overrides it.
   if (auto it = flags.find("log_level"); it != flags.end()) {
@@ -1391,9 +1408,15 @@ int main(int argc, char** argv) {
     }
     mlp::SetLogLevel(level);
   }
-  // A flag the subcommand does not read would otherwise be ignored, and the
-  // command would silently run something other than what was asked.
+  // A stray argument or a flag the subcommand does not read would otherwise
+  // be ignored, and the command would silently run something other than
+  // what was asked.
   if (auto usage = UsageTexts().find(command); usage != UsageTexts().end()) {
+    if (!stray.empty()) {
+      std::fprintf(stderr, "mlpctl %s: unexpected argument '%s'\n",
+                   command.c_str(), stray.c_str());
+      return UsageFor(command);
+    }
     for (const auto& [key, value] : flags) {
       (void)value;
       if (key != "log_level" && !UsageNamesFlag(usage->second, key)) {
